@@ -45,7 +45,7 @@ ha-demo:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro fleet loadgen \
 		--jobs 8 --iterations 20 --fault-fraction 0.25 \
 		--out /tmp/ha-demo.fprec
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro fleet serve \
+	PYTHONPATH=$(PYTHONPATH) timeout -k 10 300 $(PYTHON) -m repro fleet serve \
 		--listen 127.0.0.1:19917 --shards 3 \
 		--kill-shard 1 --kill-after 200 --idle-exit 2 \
 		--incidents-out /tmp/ha-demo-incidents.jsonl & \
@@ -55,7 +55,7 @@ ha-demo:
 			2>/dev/null && break; \
 		sleep 0.2; \
 	done; \
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro fleet stream \
+	PYTHONPATH=$(PYTHONPATH) timeout -k 10 300 $(PYTHON) -m repro fleet stream \
 		--connect 127.0.0.1:19917 --input /tmp/ha-demo.fprec \
 		--connections 4 --wire-version 2; \
 	wait $$SERVE_PID

@@ -26,6 +26,7 @@ import time
 from repro.analysis.experiments import ExperimentConfig
 from repro.fleet import (
     FleetConfig,
+    FleetService,
     LoadGenConfig,
     StreamDecoder,
     decode_job,
@@ -37,7 +38,6 @@ from repro.fleet.codec import _stream_unit
 from repro.fleet.ha import (
     FleetNetServer,
     HAConfig,
-    HAFleetService,
     stream_workload,
 )
 from repro.units import GIB
@@ -59,14 +59,14 @@ CONFIG = LoadGenConfig(
 BASELINE_PATH = pathlib.Path(__file__).with_name("fleet_tcp_ingest_baseline.json")
 
 
-def make_service() -> HAFleetService:
-    return HAFleetService(
+def make_service() -> FleetService:
+    return FleetService(
         FleetConfig(n_shards=N_SHARDS),
         ha=HAConfig(heartbeat_every=None, auto_failover=False),
     )
 
 
-def drain(service: HAFleetService) -> None:
+def drain(service: FleetService) -> None:
     """Spin until every submitted record is settled by a verdict."""
     while service._inflight:
         if service.poll() == 0:

@@ -740,7 +740,7 @@ def _print_fleet_report(result, assignment) -> None:
         if "name" in entry
     }
     rows = []
-    for shard in range(assignment.n_shards):
+    for shard in sorted(assignment.jobs_per_shard):
         label = str(shard)
         batches = metrics.get(("fleet.batches", label), {}).get("value", 0)
         records = metrics.get(("fleet.records", label), {}).get("value", 0)
@@ -820,7 +820,7 @@ def cmd_fleet_loadgen(args: argparse.Namespace) -> int:
 
 
 def cmd_fleet_serve(args: argparse.Namespace) -> int:
-    from .fleet import ShardRouter, describe_assignment, read_fprec, serve_workload
+    from .fleet import FleetService, read_fprec
     from .fleet.shard import FleetError
 
     if args.listen is not None:
@@ -831,11 +831,14 @@ def cmd_fleet_serve(args: argparse.Namespace) -> int:
     if not content.jobs:
         print(f"no job configs in {args.input}", file=sys.stderr)
         return 2
-    result = serve_workload(content.jobs, content.batches, _fleet_config(args))
-    assignment = describe_assignment(
-        ShardRouter(args.shards), [job.job_id for job in content.jobs]
-    )
-    _print_fleet_report(result, assignment)
+    service = FleetService(_fleet_config(args))
+    with service:
+        for job in content.jobs:
+            service.submit_job(job)
+        for batch in content.batches:
+            service.submit(batch)
+    result = service.result
+    _print_fleet_report(result, service.assignment())
     _write_fleet_outputs(args, result)
     validation = result.validate()
     if validation.checked:
@@ -903,18 +906,14 @@ def _fleet_serve_listen(args: argparse.Namespace) -> int:
     import asyncio
     import signal as signal_module
 
-    from .fleet.ha import (
-        FleetNetServer,
-        HAConfig,
-        HAFleetService,
-        NetServerConfig,
-    )
-    from .fleet.shard import FleetError, ShardAssignment
+    from .fleet import FleetService
+    from .fleet.ha import FleetNetServer, HAConfig, NetServerConfig
+    from .fleet.shard import FleetError
 
     host, port = _parse_hostport(args.listen)
     if args.kill_shard is not None and not 0 <= args.kill_shard < args.shards:
         raise FleetError(f"--kill-shard {args.kill_shard} out of range")
-    service = HAFleetService(
+    service = FleetService(
         _fleet_config(args), ha=HAConfig(journal_dir=args.journal_dir)
     )
     service.start()
@@ -975,15 +974,8 @@ def _fleet_serve_listen(args: argparse.Namespace) -> int:
         )
 
     asyncio.run(_run())
-    routes = {job_id: service._route(job_id) for job_id in service.jobs}
-    n_shards = len(service._inboxes)
     result = service.close()
-    jobs_per_shard = dict.fromkeys(range(n_shards), 0)
-    for shard in routes.values():
-        jobs_per_shard[shard] += 1
-    _print_fleet_report(
-        result, ShardAssignment(n_shards=n_shards, jobs_per_shard=jobs_per_shard)
-    )
+    _print_fleet_report(result, service.assignment())
     print(
         f"\nha: epoch {result.epoch}, failovers {result.failovers}, "
         f"replayed {result.replayed_records} records, "

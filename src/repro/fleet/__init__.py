@@ -25,6 +25,8 @@ records directly into a single monitor (:func:`~repro.fleet.service.reference_ve
 for any shard count or interleaving.
 """
 
+# ``ha`` first: the service is built from its components, and it
+# re-exports the service under its old name.
 from . import ha
 from .aggregate import FleetAggregator, Incident, incident_from_event
 from .codec import (

@@ -657,10 +657,17 @@ def peek_batch_tag(data: str | bytes) -> tuple[int, int, int]:
     """``(job_id, n_records, iteration)`` of a batch unit without a
     full parse.
 
-    Same fast paths as :func:`peek_batch`, one field wider: the HA
-    service keys its in-flight record accounting by ``(job_id,
-    iteration)``, so the iteration must also be readable at routing
-    cost, not decode cost.
+    The routing fields sit at fixed positions in both versions: a v1
+    line yields them from a bounded comma split, a v2 frame from
+    fixed-offset reads — this is what keeps the ingest frontend's
+    per-unit cost independent of batch size.  The iteration rides
+    along because the service keys its in-flight record accounting by
+    ``(job_id, iteration)``.  The fast paths validate the magic and
+    version at their fixed positions too, so a wrong-magic or
+    future-version unit whose prefix happens to look batch-shaped
+    raises the typed error here instead of deep inside a shard worker.
+    Anything the fast path cannot vouch for falls back to a full decode
+    (and its typed errors).
     """
     if isinstance(data, (bytes, bytearray)):
         data = bytes(data)
@@ -675,7 +682,7 @@ def peek_batch_tag(data: str | bytes) -> tuple[int, int, int]:
             iteration = int.from_bytes(data[20:28], "little")
             n_records = int.from_bytes(data[28:32], "little")
             return job_id, n_records, iteration
-        batch = decode_batch(data)
+        batch = decode_batch(data)  # raises a typed error or handles edge forms
         return batch.job_id, batch.n_records, batch.iteration
     parts = data.split(",", 6)
     if (
@@ -688,50 +695,14 @@ def peek_batch_tag(data: str | bytes) -> tuple[int, int, int]:
             return int(parts[3]), int(parts[4]), int(parts[5])
         except ValueError:
             pass
-    batch = decode_batch(data)
+    batch = decode_batch(data)  # raises a typed error or handles edge forms
     return batch.job_id, batch.n_records, batch.iteration
 
 
 def peek_batch(data: str | bytes) -> tuple[int, int]:
-    """``(job_id, n_records)`` of a batch unit without a full parse.
-
-    The routing fields sit at fixed positions in both versions: a v1
-    line yields them after four comma splits, a v2 frame after two
-    fixed-offset reads — this is what keeps the ingest frontend's
-    per-unit cost independent of batch size.  The fast paths validate
-    the magic and version at their fixed positions too, so a
-    wrong-magic or future-version unit whose prefix happens to look
-    batch-shaped raises the typed error here instead of deep inside a
-    shard worker.  Anything the fast path cannot vouch for falls back
-    to a full decode (and its typed errors).
-    """
-    if isinstance(data, (bytes, bytearray)):
-        data = bytes(data)
-        if (
-            len(data) >= _HEADER.size + _BATCH_FIXED.size
-            and data[:4] == BINARY_MAGIC
-            and data[4] == FPREC_VERSION_BINARY
-            and data[5] == _KIND_BATCH
-            and len(data) == _HEADER.size + int.from_bytes(data[8:12], "little")
-        ):
-            job_id = int.from_bytes(data[12:20], "little")
-            n_records = int.from_bytes(data[28:32], "little")
-            return job_id, n_records
-        batch = decode_batch(data)  # raises a typed error or handles edge forms
-        return batch.job_id, batch.n_records
-    parts = data.split(",", 5)
-    if (
-        len(parts) == 6
-        and parts[0] == f'["{FPREC_MAGIC}"'
-        and parts[1] == str(FPREC_VERSION)
-        and parts[2] == '"b"'
-    ):
-        try:
-            return int(parts[3]), int(parts[4])
-        except ValueError:
-            pass
-    batch = decode_batch(data)  # raises a typed error or handles edge forms
-    return batch.job_id, batch.n_records
+    """``(job_id, n_records)`` of a batch unit without a full parse:
+    the routing prefix of :func:`peek_batch_tag`."""
+    return peek_batch_tag(data)[:2]
 
 
 # ----------------------------------------------------------------------
@@ -941,14 +912,15 @@ def write_fprec(
 _REPLAY_CHUNK = 1 << 20
 
 
-def _iter_fprec_binary(stream) -> Iterator[tuple[str, object]]:
+def _iter_fprec_binary(stream, raw: bool = False) -> Iterator[tuple[str, object]]:
     """Stream mixed v1 lines / v2 frames from a binary stream.
 
     Built on the same :class:`StreamDecoder` the TCP ingest frontend
-    uses, so file replay and socket ingest share one framing
-    implementation (and one set of truncation errors).
+    uses, so file replay, journal replay (``raw=True``) and socket
+    ingest share one framing implementation (and one set of truncation
+    errors).
     """
-    decoder = StreamDecoder()
+    decoder = StreamDecoder(raw=raw)
     while True:
         chunk = stream.read(_REPLAY_CHUNK)
         if not chunk:

@@ -3,7 +3,7 @@
 :class:`FleetNetServer` accepts concurrent socket connections speaking
 the ``.fprec`` wire stream — v1 JSON lines and v2 binary frames, mixed
 freely — and routes every completed unit into a running
-:class:`~repro.fleet.service.FleetService` (or its HA subclass).  Each
+:class:`~repro.fleet.service.FleetService`.  Each
 connection owns one :class:`~repro.fleet.codec.StreamDecoder` in raw
 mode, so frames split across TCP segments reassemble incrementally and
 batches flow into ``try_submit_encoded`` as encoded units, never

@@ -24,12 +24,13 @@ iteration first settles it, and the duplicate is dropped.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..service import DRAIN_TIMEOUT_S
 from ..shard import FleetError
-from .failover import HAFleetService
+
+if TYPE_CHECKING:
+    from ..service import FleetService
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,10 @@ class ReshardReport:
         return len(self.moved_jobs)
 
 
-def grow(service: HAFleetService, n_new: int = 1) -> ReshardReport:
+def grow(service: FleetService, n_new: int = 1) -> ReshardReport:
     """Add ``n_new`` workers to a running HA fleet and hand over the
     jobs the wider consistent-hash ring reassigns to them."""
-    service._require_started()
+    service._require_ha("grow")
     if n_new < 1:
         raise FleetError("grow needs at least one new shard")
     epoch_before = service.epoch
@@ -73,8 +74,8 @@ def grow(service: HAFleetService, n_new: int = 1) -> ReshardReport:
             moved_by_source.setdefault(source, set()).add(job_id)
     units = records = 0
     for source in sorted(moved_by_source):
-        replayed_units, replayed_records = service._replay_journal_live(
-            source, moved_by_source[source]
+        replayed_units, replayed_records = service._replay_journal(
+            source, moved_by_source[source], forget=True
         )
         units += replayed_units
         records += replayed_records
@@ -89,52 +90,22 @@ def grow(service: HAFleetService, n_new: int = 1) -> ReshardReport:
     )
 
 
-def shrink(service: HAFleetService, shard_id: int) -> ReshardReport:
+def shrink(service: FleetService, shard_id: int) -> ReshardReport:
     """Retire one live worker from a running HA fleet: move its jobs to
     the survivors (journal-checkpointed handoff), then drain and stop it."""
-    service._require_started()
-    if shard_id not in service._live_shards:
-        raise FleetError(f"shard {shard_id} is not live")
-    if len(service._live_shards) < 2:
-        raise FleetError("cannot shrink away the last live shard")
+    service._require_ha("shrink")
     epoch_before = service.epoch
     shards_before = tuple(sorted(service._live_shards))
-    moved = {
-        job_id
-        for job_id in service.jobs
-        if service._route(job_id) == shard_id
-    }
-    pins = tuple(
-        (job_id, shard)
-        for job_id, shard in service.view.pins
-        if shard != shard_id
-    )
     # New routes first: no fresh traffic may land on the retiree while
     # its journal is being replayed, or the replay would be incomplete.
-    view = service.coordinator.commit(
-        shards=sorted(service._live_shards - {shard_id}),
-        pins=pins,
-        reason=f"shrink:{shard_id}",
-    )
+    view, moved = service._commit_without(shard_id, f"shrink:{shard_id}")
     units, records = service._replay_journal(shard_id, moved)
     # Graceful retirement: the stop barrier flushes anything still
     # queued (its verdicts dedup against the replayed ones), then the
     # worker ships its metrics and exits.
-    service._put_draining(service._inboxes[shard_id], ("stop",))
-    deadline = time.monotonic() + DRAIN_TIMEOUT_S
-    while shard_id not in service._done:
-        if service.poll() > 0:
-            deadline = time.monotonic() + DRAIN_TIMEOUT_S
-        elif time.monotonic() > deadline:
-            raise FleetError(
-                f"retiring shard {shard_id} never finished draining"
-            )
-        else:
-            time.sleep(0.002)
-    service._workers[shard_id].join(timeout=DRAIN_TIMEOUT_S)
-    service._live_shards.discard(shard_id)
-    service.heartbeats.unwatch(shard_id)
-    service._retire_outbox(shard_id)
+    service._put_draining(shard_id, ("stop",))
+    service._await_stopped({shard_id})
+    service._retire_shard(shard_id)
     service._broadcast_epoch(view)
     return _report(
         service,
@@ -148,7 +119,7 @@ def shrink(service: HAFleetService, shard_id: int) -> ReshardReport:
 
 
 def _report(
-    service: HAFleetService,
+    service: FleetService,
     reason: str,
     epoch_before: int,
     shards_before: tuple[int, ...],

@@ -72,7 +72,7 @@ class ShardRouter:
 
     A shard's ring points are a function of its *id*, not its position,
     so a router built over an arbitrary id set (:meth:`from_ids` — how
-    the HA layer routes after a shard dies or the pool grows) agrees
+    the service routes after a shard dies or the pool grows) agrees
     with the dense-id router about every job that did not have to move.
     """
 

@@ -12,21 +12,22 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import pytest
 
-from repro.fleet import FleetConfig, reference_verdicts
-from repro.fleet.ha import HAConfig, HAFleetService, HeartbeatMonitor
+from repro.fleet import FleetConfig, FleetService, reference_verdicts, transport
+from repro.fleet.ha import HAConfig, HeartbeatMonitor
 from repro.fleet.shard import FleetError
 
 
-def ha_service(n_shards: int, **ha_overrides) -> HAFleetService:
+def ha_service(n_shards: int, **ha_overrides) -> FleetService:
     """An HA service tuned for deterministic tests: no wall-clock
     failure detection, health checks driven explicitly."""
     defaults = dict(heartbeat_every=None, auto_failover=False)
     defaults.update(ha_overrides)
-    return HAFleetService(
+    return FleetService(
         FleetConfig(n_shards=n_shards, return_verdicts=True),
         ha=HAConfig(**defaults),
     )
@@ -114,6 +115,47 @@ def test_failover_replays_the_dead_shards_journal(small_workload):
     assert result.lost_records == 0
 
 
+def test_failover_replay_into_a_full_pipe_does_not_hang(small_workload, monkeypatch):
+    """Journal replay must keep draining survivor output while it
+    waits on a full inbox.  With 4 KiB outbox pipes and 4-deep inboxes,
+    the survivor soon blocks writing replayed verdicts; a replay put
+    that stops reading then waits forever on the survivor's inbox."""
+    monkeypatch.setattr(transport, "PIPE_CAPACITY", 4096)
+    jobs, batches = small_workload
+    reference = reference_verdicts(jobs, batches)
+    service = FleetService(
+        FleetConfig(n_shards=2, return_verdicts=True, queue_depth=4),
+        ha=HAConfig(heartbeat_every=None, auto_failover=False),
+    )
+    service.start()
+    try:
+        for job in jobs:
+            service.submit_job(job)
+        for batch in batches:
+            service.submit(batch)
+        deadline = time.monotonic() + 30.0
+        while sum(len(v) for v in service.verdicts.values()) < len(batches):
+            assert time.monotonic() < deadline, "the stream never drained"
+            if service.poll() == 0:
+                time.sleep(0.001)
+        worker = service._workers[1]
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(timeout=10.0)
+        replay = threading.Thread(target=service.failover, args=(1,), daemon=True)
+        replay.start()
+        replay.join(timeout=30.0)
+        assert not replay.is_alive(), "failover hung replaying the journal"
+    except BaseException:
+        service._abort()
+        raise
+    result = service.close()
+    assert result.failovers == 1
+    for job in jobs:
+        assert result.verdicts_for(job.job_id) == reference[job.job_id]
+    assert result.lost_records == 0
+    assert result.accounting_ok
+
+
 def test_process_exit_detected_by_check_health(small_workload):
     jobs, batches = small_workload
     service = ha_service(2)
@@ -137,7 +179,7 @@ def test_auto_failover_recovers_during_submit(small_workload):
     """With auto_failover on, the ingest path itself detects the dead
     worker (poll-side health check) and ingest never wedges."""
     jobs, batches = small_workload
-    service = HAFleetService(
+    service = FleetService(
         FleetConfig(n_shards=2, return_verdicts=True, queue_depth=4),
         ha=HAConfig(heartbeat_every=None, auto_failover=True, dispatch_retry_s=0.05),
     )
@@ -245,7 +287,7 @@ def test_heartbeat_timeout_triggers_failover(small_workload):
     """A worker that stops beating (but has not exited) is declared
     dead once ``miss_limit`` intervals pass."""
     jobs, batches = small_workload
-    service = HAFleetService(
+    service = FleetService(
         FleetConfig(n_shards=2, return_verdicts=True),
         ha=HAConfig(heartbeat_every=0.05, miss_limit=3, auto_failover=False),
     )

@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.fleet import FPREC_VERSION_BINARY, FleetConfig, reference_verdicts
+from repro.fleet import FPREC_VERSION_BINARY, FleetConfig, FleetService, reference_verdicts
 from repro.fleet.ha import (
     FleetNetServer,
     HAConfig,
-    HAFleetService,
     NetServerConfig,
     stream_workload,
 )
 
 
-def ha_service(n_shards: int = 2, **config_overrides) -> HAFleetService:
-    return HAFleetService(
+def ha_service(n_shards: int = 2, **config_overrides) -> FleetService:
+    return FleetService(
         FleetConfig(n_shards=n_shards, return_verdicts=True, **config_overrides),
         ha=HAConfig(heartbeat_every=None, auto_failover=False),
     )

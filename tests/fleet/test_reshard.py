@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fleet import FleetConfig, reference_verdicts
-from repro.fleet.ha import HAConfig, HAFleetService, grow, shrink
+from repro.fleet import FleetConfig, FleetService, reference_verdicts
+from repro.fleet.ha import HAConfig, grow, shrink
 from repro.fleet.shard import FleetError
 
 
-def ha_service(n_shards: int) -> HAFleetService:
-    return HAFleetService(
+def ha_service(n_shards: int) -> FleetService:
+    return FleetService(
         FleetConfig(n_shards=n_shards, return_verdicts=True),
         ha=HAConfig(heartbeat_every=None, auto_failover=False),
     )

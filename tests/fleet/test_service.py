@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import pytest
 
 from repro.fleet import (
@@ -12,6 +15,13 @@ from repro.fleet import (
     reference_verdicts,
     serve_workload,
 )
+from repro.fleet.ha import HAConfig
+
+#: Both service modes, for the tests that must hold in each: the plain
+#: service (no journal, no heartbeats) and the HA service with failure
+#: detection left to the caller.  Looping inside the test keeps one
+#: test id per scenario.
+SERVICE_MODES = (None, HAConfig(heartbeat_every=None, auto_failover=False))
 
 
 def metric(result, name, label=None):
@@ -36,19 +46,23 @@ def test_golden_parity_across_shard_counts(small_workload, n_shards, wire_versio
     count and both wire versions."""
     jobs, batches = small_workload
     reference = reference_verdicts(jobs, batches)
-    result = serve_workload(
-        jobs,
-        batches,
-        FleetConfig(
-            n_shards=n_shards, return_verdicts=True, wire_version=wire_version
-        ),
-    )
-    assert result.errors == []
-    for job in jobs:
-        got = result.verdicts_for(job.job_id)
-        want = reference[job.job_id]
-        assert len(got) == len(want)
-        assert got == want, f"verdicts diverge for job {job.job_id}"
+    for ha in SERVICE_MODES:
+        result = serve_workload(
+            jobs,
+            batches,
+            FleetConfig(
+                n_shards=n_shards, return_verdicts=True, wire_version=wire_version
+            ),
+            ha=ha,
+        )
+        assert result.errors == []
+        for job in jobs:
+            got = result.verdicts_for(job.job_id)
+            want = reference[job.job_id]
+            assert len(got) == len(want)
+            assert got == want, f"verdicts diverge for job {job.job_id} (ha={ha})"
+        assert result.lost_records == 0
+        assert result.accounting_ok
 
 
 def test_golden_parity_with_tiny_queue(small_workload):
@@ -109,26 +123,33 @@ def test_config_rejects_non_positive_quiet_gap():
 # ----------------------------------------------------------------------
 def test_block_policy_never_loses_records(small_workload):
     jobs, batches = small_workload
-    result = serve_workload(
-        jobs, batches, FleetConfig(n_shards=2, queue_depth=2, policy="block")
-    )
-    assert result.shed_records == 0
-    assert result.processed_records == result.submitted_records
-    assert result.processed_batches == len(batches)
+    for ha in SERVICE_MODES:
+        result = serve_workload(
+            jobs, batches, FleetConfig(n_shards=2, queue_depth=2, policy="block"), ha=ha
+        )
+        assert result.shed_records == 0
+        assert result.processed_records == result.submitted_records
+        assert result.processed_batches == len(batches)
+        assert result.lost_records == 0
+        assert result.accounting_ok
 
 
 def test_shed_oldest_counts_drops_and_completes(small_workload):
     """A one-deep queue forces shedding; the run still completes, every
     drop is counted, and accounting balances exactly."""
     jobs, batches = small_workload
-    result = serve_workload(
-        jobs,
-        batches,
-        FleetConfig(n_shards=1, queue_depth=1, policy="shed-oldest"),
-    )
-    assert result.shed_records > 0
-    assert result.processed_records + result.shed_records == result.submitted_records
-    assert metric(result, "fleet.shed_records") == result.shed_records
+    for ha in SERVICE_MODES:
+        result = serve_workload(
+            jobs,
+            batches,
+            FleetConfig(n_shards=1, queue_depth=1, policy="shed-oldest"),
+            ha=ha,
+        )
+        assert result.shed_records > 0
+        assert result.processed_records + result.shed_records == result.submitted_records
+        assert metric(result, "fleet.shed_records") == result.shed_records
+        assert result.lost_records == 0
+        assert result.accounting_ok
 
 
 def test_shed_never_drops_job_registrations(small_workload):
@@ -262,3 +283,37 @@ def test_submit_before_start_raises(small_workload):
         service.submit(batches[0])
     with pytest.raises(FleetError, match="not started"):
         service.submit_job(jobs[0])
+
+
+def test_failover_and_pin_need_ha(small_workload):
+    """Without an HAConfig there is no journal to replay: the
+    availability operations refuse instead of losing records."""
+    jobs, _batches = small_workload
+    service = FleetService(FleetConfig(n_shards=2))
+    with service:
+        for job in jobs:
+            service.submit_job(job)
+        with pytest.raises(FleetError, match="ha=HAConfig"):
+            service.failover(0)
+        with pytest.raises(FleetError, match="ha=HAConfig"):
+            service.pin_job(jobs[0].job_id, 1)
+        assert service.epoch == 1
+
+
+def test_blocking_submit_to_dead_full_shard_raises(small_workload):
+    """A SIGKILLed shard never drains its inbox; without HA nothing can
+    fail it over, so a blocking submit must raise, not hang."""
+    jobs, batches = small_workload
+    service = FleetService(FleetConfig(n_shards=1, queue_depth=1))
+    service.start()
+    try:
+        for job in jobs:
+            service.submit_job(job)
+        worker = service._workers[0]
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(timeout=10.0)
+        with pytest.raises(FleetError, match="died with a full inbox"):
+            for batch in batches:
+                service.submit(batch)
+    finally:
+        service._abort()
