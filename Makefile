@@ -57,7 +57,7 @@ ha-demo:
 	done; \
 	PYTHONPATH=$(PYTHONPATH) timeout -k 10 300 $(PYTHON) -m repro fleet stream \
 		--connect 127.0.0.1:19917 --input /tmp/ha-demo.fprec \
-		--connections 4 --wire-version 2; \
+		--connections 4; \
 	wait $$SERVE_PID
 	@echo "incident log: /tmp/ha-demo-incidents.jsonl"
 

@@ -22,6 +22,8 @@ import pathlib
 import time
 from collections import defaultdict
 
+from tests.fleet.legacy_v1 import v1_batch_line
+
 from repro.analysis.experiments import ExperimentConfig
 from repro.fleet import (
     LoadGenConfig,
@@ -89,8 +91,8 @@ def v2_pass(jobs, frames):
 
 def experiment():
     jobs, batches = generate_workload(CONFIG)
-    lines = [encode_batch(batch) for batch in batches]
-    frames = [encode_batch(batch, version=2) for batch in batches]
+    lines = [v1_batch_line(batch) for batch in batches]
+    frames = [encode_batch(batch) for batch in batches]
     total_records = sum(batch.n_records for batch in batches)
 
     v1_s, v1_verdicts = v1_pass(jobs, lines)

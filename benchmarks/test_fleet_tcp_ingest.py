@@ -34,7 +34,6 @@ from repro.fleet import (
     encode_job,
     generate_workload,
 )
-from repro.fleet.codec import _stream_unit
 from repro.fleet.ha import (
     FleetNetServer,
     HAConfig,
@@ -44,7 +43,6 @@ from repro.units import GIB
 
 N_SHARDS = 4
 N_CONNECTIONS = 8
-WIRE_VERSION = 2
 MAX_SLOWDOWN = 2.0  # TCP may cost at most 2x the in-process wall-clock
 READ_CHUNK = 64 * 1024
 
@@ -116,7 +114,6 @@ def tcp_pass(jobs, batches):
                     server.port,
                     jobs,
                     batches,
-                    version=WIRE_VERSION,
                     connections=N_CONNECTIONS,
                 )
             finally:
@@ -136,12 +133,8 @@ def tcp_pass(jobs, batches):
 
 def experiment():
     jobs, batches = generate_workload(CONFIG)
-    wire = b"".join(
-        _stream_unit(encode_job(job, version=WIRE_VERSION), text=False)
-        for job in jobs
-    ) + b"".join(
-        _stream_unit(encode_batch(batch, version=WIRE_VERSION), text=False)
-        for batch in batches
+    wire = b"".join(encode_job(job) for job in jobs) + b"".join(
+        encode_batch(batch) for batch in batches
     )
 
     inproc_s, total_records = inproc_pass(wire)
@@ -190,7 +183,7 @@ def test_tcp_ingest_within_2x_of_in_process(run_once):
                     },
                     "n_shards": N_SHARDS,
                     "n_connections": N_CONNECTIONS,
-                    "wire_version": WIRE_VERSION,
+                    "wire_version": 2,
                     "wire_bytes": wire_bytes,
                     "inproc_records_per_sec": round(inproc_rate),
                     "tcp_records_per_sec": round(tcp_rate),

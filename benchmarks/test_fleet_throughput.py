@@ -3,12 +3,12 @@
 The serving claim is quantitative: a 4-shard fleet service must sustain
 at least 10x the ingest rate of a single process doing the same work
 synchronously.  "Single-process ingest" is what a lone monitor feed can
-accept: each wire line must be decoded and run through
+accept: each wire frame must be decoded and run through
 ``process_iteration`` before the next one can be taken.  The service
-decouples acceptance from detection — its frontend routes a line with a
-string-split peek and a bounded-queue put, while four shard workers
+decouples acceptance from detection — its frontend routes a frame with a
+fixed-offset header peek and a bounded-queue put, while four shard workers
 decode and detect in parallel — so its ingest rate is how fast the
-submit loop accepts the same lines with the queues sized to absorb the
+submit loop accepts the same frames with the queues sized to absorb the
 burst (end-to-end drain time is reported alongside; losslessness is
 asserted, every accepted record is processed before the verdict).
 

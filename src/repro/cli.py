@@ -651,20 +651,8 @@ def _add_fleet_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_wire_version_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--wire-version",
-        type=int,
-        choices=(1, 2),
-        default=1,
-        help="fprec wire format: 1 = readable JSON lines (replay/debug), "
-        "2 = binary columnar frames (ingest hot path)",
-    )
-
-
 def _add_fleet_service_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=2, help="shard worker processes")
-    _add_wire_version_arg(parser)
     parser.add_argument(
         "--queue-depth", type=int, default=1024, help="bounded inbox size per shard"
     )
@@ -718,7 +706,6 @@ def _fleet_config(args: argparse.Namespace, return_verdicts: bool = False):
         queue_depth=args.queue_depth,
         policy=args.policy,
         return_verdicts=return_verdicts,
-        wire_version=args.wire_version,
     )
 
 
@@ -805,11 +792,11 @@ def cmd_fleet_loadgen(args: argparse.Namespace) -> int:
     from .fleet import write_workload
 
     config = _loadgen_config(args)
-    jobs, n_lines = write_workload(config, args.out, version=args.wire_version)
+    jobs, n_units = write_workload(config, args.out)
     faulted = sorted(job.job_id for job in jobs if job.faulted)
     print(
-        f"wrote {n_lines} units ({len(jobs)} jobs x {config.n_iterations} "
-        f"iterations, wire v{args.wire_version}) to {args.out}"
+        f"wrote {n_units} units ({len(jobs)} jobs x {config.n_iterations} "
+        f"iterations, wire v2) to {args.out}"
     )
     print(f"faulted jobs: {', '.join(map(str, faulted)) or 'none'}")
     for job in jobs:
@@ -1018,7 +1005,6 @@ def cmd_fleet_stream(args: argparse.Namespace) -> int:
         port,
         jobs,
         batches,
-        version=args.wire_version,
         connections=args.connections,
     )
     print(
@@ -1310,7 +1296,6 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen", help="generate a multi-job workload as a .fprec file"
     )
     _add_fleet_workload_args(loadgen)
-    _add_wire_version_arg(loadgen)
     loadgen.add_argument(
         "--out", required=True, metavar="PATH", help="output .fprec path"
     )
@@ -1395,7 +1380,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream this recorded .fprec instead of generating a workload",
     )
     _add_fleet_workload_args(stream)
-    _add_wire_version_arg(stream)
     stream.set_defaults(func=cmd_fleet_stream)
 
     replay = fleet_sub.add_parser(

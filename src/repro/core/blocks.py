@@ -89,8 +89,8 @@ class IterationSegment:
     as the collectors emit them).  ``port_offsets``/``sender_offsets``
     are CSR-style: record ``j`` owns ``port_keys[port_offsets[j]:
     port_offsets[j + 1]]`` and the matching raw/flag slices.  Keys are
-    sorted within each record, matching the v1 wire encoder, so a
-    segment built from records and a segment decoded off the wire are
+    sorted within each record, the order v1 lines carry them in too, so
+    a segment built from records and a segment decoded off the wire are
     indistinguishable.
     """
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..simnet.counters import IterationRecord
-from .blocks import IterationSegment
+from .blocks import BlockError, IterationSegment
 from .detection import DetectionConfig, DetectionResult, ThresholdDetector, _prediction_state
 from .localization import LocalizationResult, Localizer
 from .prediction.base import LoadPredictor
@@ -167,9 +167,10 @@ class FlowPulseMonitor:
         """Score a batch of iterations in one pass; bit-identical to
         sequential :meth:`process_iteration` calls.
 
-        ``block`` is a sequence of iteration entries, each either a
-        plain record list or a columnar
-        :class:`~repro.core.blocks.IterationSegment`.  Predictor updates
+        ``block`` is a sequence of columnar
+        :class:`~repro.core.blocks.IterationSegment` entries, one per
+        iteration; anything else raises
+        :class:`~repro.core.blocks.BlockError`.  Predictor updates
         run in iteration order (learning predictors stay correct);
         scoring is then grouped by prediction and, where segments are
         dense (uniform port pattern, every predicted port above
@@ -185,28 +186,28 @@ class FlowPulseMonitor:
         verdicts: list[IterationVerdict | None] = [None] * len(block)
         groups: dict[int, list] = {}
         predictions: dict[int, object] = {}
-        for index, entry in enumerate(block):
-            segment = entry if isinstance(entry, IterationSegment) else None
+        for index, segment in enumerate(block):
+            if not isinstance(segment, IterationSegment):
+                raise BlockError(
+                    f"process_block takes IterationSegment entries, got "
+                    f"{type(segment).__name__} (use process_iteration for "
+                    "record lists)"
+                )
             if stateless:
                 # The base update ignores its records and returns NONE;
                 # skipping it avoids materializing columnar records.
                 event = LearningEvent.NONE
             else:
-                records = entry if segment is None else segment.records()
-                event = predictor.update(records)
+                event = predictor.update(segment.records())
             if self._skips(event):
-                if segment is not None:
-                    iteration = segment.iteration
-                else:
-                    iteration = entry[0].tag.iteration if entry else -1
                 verdicts[index] = IterationVerdict(
-                    iteration=iteration, learning_event=event, skipped=True
+                    iteration=segment.iteration, learning_event=event, skipped=True
                 )
                 continue
             prediction = predictor.predict()
             key = id(prediction)
             predictions[key] = prediction
-            groups.setdefault(key, []).append((index, entry, segment, event))
+            groups.setdefault(key, []).append((index, segment, event))
         for key, members in groups.items():
             self._score_group(predictions[key], members, verdicts)
         if self.telemetry is not None:
@@ -223,13 +224,14 @@ class FlowPulseMonitor:
         """
         plan = self._dense_plan(prediction, members)
         if plan is None:
-            for index, entry, segment, event in members:
-                records = entry if segment is None else segment.records()
-                verdicts[index] = self._score_iteration(records, event, prediction)
+            for index, segment, event in members:
+                verdicts[index] = self._score_iteration(
+                    segment.records(), event, prediction
+                )
             return
         leaves, states, pattern_width = plan
         threshold = self.config.threshold
-        segments = [segment for _i, _e, segment, _ev in members]
+        segments = [segment for _i, segment, _ev in members]
         observed = np.empty((len(segments), len(leaves), pattern_width))
         for position, segment in enumerate(segments):
             observed[position] = segment.port_value_matrix()
@@ -239,7 +241,7 @@ class FlowPulseMonitor:
         worst = magnitudes.max(axis=2).tolist()
         # Inclusive boundary, as in the scalar detector.
         triggered = (magnitudes >= threshold).any(axis=2)
-        for position, (index, _entry, segment, event) in enumerate(members):
+        for position, (index, segment, event) in enumerate(members):
             iteration = segment.iteration
             observed_rows = observed[position].tolist()
             deviation_rows = deviations[position].tolist()
@@ -286,22 +288,18 @@ class FlowPulseMonitor:
         """``(leaves, per-leaf states, pattern width)`` when every member
         segment satisfies the vectorized fast path, else ``None``.
 
-        Dense means: every member is a columnar segment, all share one
-        leaf order and one sorted port pattern, and every leaf's
+        Dense means: all member segments share one leaf order and one
+        sorted port pattern, and every leaf's
         prediction covers exactly that pattern with all expected volumes
         at or above ``min_port_bytes`` (and positive, so the division is
         the same operation the scalar fast path performs).
         """
-        first = members[0][2]
-        if first is None:
-            return None
+        first = members[0][1]
         pattern = first.port_pattern()
         if pattern is None:
             return None
         leaves_array = first.leaves
-        for _index, _entry, segment, _event in members[1:]:
-            if segment is None:
-                return None
+        for _index, segment, _event in members[1:]:
             if segment.port_pattern() is None:
                 return None
             if not np.array_equal(segment.leaves, leaves_array):

@@ -33,7 +33,6 @@ from .codec import (
     BINARY_MAGIC,
     FPREC_VERSION,
     FPREC_VERSION_BINARY,
-    FPREC_VERSIONS,
     CodecError,
     FprecContent,
     JobConfig,
@@ -72,7 +71,6 @@ __all__ = [
     "CodecError",
     "FPREC_VERSION",
     "FPREC_VERSION_BINARY",
-    "FPREC_VERSIONS",
     "FleetAggregator",
     "FleetConfig",
     "FleetError",

@@ -1,4 +1,4 @@
-"""Versioned wire format for :class:`IterationRecord` batches.
+"""The ``fprec`` wire format for :class:`IterationRecord` batches.
 
 The fleet service moves per-leaf iteration measurements between
 processes (and onto disk) as self-describing *units*, each declaring
@@ -6,51 +6,44 @@ its format version so a stream can be decoded unit-by-unit without a
 file header and an old reader confronted with a newer payload fails
 with a typed :class:`UnsupportedVersionError` instead of a ``KeyError``.
 
-Two wire versions exist, negotiated per unit:
+**Version 2 — binary columnar frames** is the only format anything
+writes.  Each frame is a 12-byte struct header (magic
+``0xF7 'f' 'p' 'r'``, version, kind, reserved flags, u32 payload
+length) followed by a struct-packed payload.  Batch payloads are the
+columns of a :class:`~repro.core.blocks.IterationSegment` — leaf ids,
+timestamps, CSR-style port/sender key and value columns — so a shard
+worker decodes a frame with a handful of ``np.frombuffer`` calls and
+scores whole blocks of iterations in one vectorized pass without ever
+building a per-record dict.  Job frames carry a JSON document (the
+:class:`JobConfig`) inside a binary frame: they are control-plane, one
+per job, and gain nothing from struct packing.
 
-**Version 1 — JSON lines** (readable; the replay/debug format).  Each
-line is a JSON array whose first elements are the magic, the version,
-and the kind:
-
+**Version 1 — JSON lines** is decode-only, kept so old captures stay
+readable.  Each line is a JSON array
 ``["fprec", 1, "b", job_id, n_records, iteration, collective, [...]]``
-    One :class:`RecordBatch` — every leaf's record for one collective
-    iteration of one job.  ``job_id`` and ``n_records`` sit at fixed
-    early positions so the ingest frontend can route a line with
-    :func:`peek_batch` (a string split) without a full JSON parse.
-
-``["fprec", 1, "j", {...}]``
-    One :class:`JobConfig` — the monitored job's fabric/predictor
-    description, everything a shard needs to rebuild the job's
-    :class:`~repro.core.monitor.FlowPulseMonitor` deterministically.
-
-**Version 2 — binary columnar frames** (the ingest hot path).  Each
-frame is a 12-byte struct header (magic ``0xF7 'f' 'p' 'r'``, version,
-kind, reserved flags, u32 payload length) followed by a struct-packed
-payload.  Batch payloads are the columns of a
-:class:`~repro.core.blocks.IterationSegment` — leaf ids, timestamps,
-CSR-style port/sender key and value columns — so a shard worker decodes
-a frame with a handful of ``np.frombuffer`` calls and scores whole
-blocks of iterations in one vectorized pass without ever building a
-per-record dict.  Job frames carry the same JSON document as v1 inside
-a binary frame: they are control-plane, one per job, and gain nothing
-from struct packing.  The header's first byte (``0xF7``) is not valid
-UTF-8 and can never open a JSON line, so v1 lines and v2 frames mix
-freely in one ``.fprec`` stream.
+(one :class:`RecordBatch`) or ``["fprec", 1, "j", {...}]`` (one
+:class:`JobConfig`).  The header's first byte (``0xF7``) is not valid
+UTF-8 and can never open a JSON line, so an old ``.fprec`` stream may
+mix v1 lines and v2 frames.  v1 is converted exactly once, at the edge:
+:func:`iter_fprec` decodes it into the same objects a frame decodes to,
+and :class:`StreamDecoder` in raw mode (TCP ingest, journal and file
+replay) turns each v1 line into the equivalent v2 frame
+(:func:`transcode_line`).  Past the codec, the fleet handles v2 frames
+(``bytes``) only; a ``str`` unit is a :class:`CodecError`.
 
 A ``.fprec`` file is just these units concatenated (jobs conventionally
 first), which makes the wire format double as a record/replay format:
 any simnet or fastsim run can be captured with :func:`batches_from_run`
-+ :func:`write_fprec` and replayed through detection offline —
-:func:`iter_fprec` auto-detects the version of every unit it reads.
++ :func:`write_fprec` and replayed through detection offline.
 
-Round-trips are exact in both versions: integers stay integers, finite
-floats stay floats (v1 via ``repr`` round-trip, v2 via raw IEEE-754
-bits), dict keys and tuple keys are rebuilt with their original types,
-and record order inside a batch is preserved — the golden-parity
-guarantee of the fleet service rests on this.  Non-finite floats are
-rejected on both encode and decode, and malformed input of any shape —
-truncated frames, wrong length prefixes, trailing garbage, bad magic —
-surfaces as :class:`CodecError`, never ``struct.error``/``IndexError``.
+Round-trips are exact: integers stay integers, finite floats stay
+floats (v2 via raw IEEE-754 bits, v1 via ``repr`` round-trip), dict keys
+and tuple keys are rebuilt with their original types, and record order
+inside a batch is preserved — the golden-parity guarantee of the fleet
+service rests on this.  Non-finite floats are rejected on both encode
+and decode, and malformed input of any shape — truncated frames, wrong
+length prefixes, trailing garbage, bad magic — surfaces as
+:class:`CodecError`, never ``struct.error``/``IndexError``.
 """
 
 from __future__ import annotations
@@ -82,12 +75,10 @@ from ..simnet.packet import FlowTag
 
 #: Magic tag opening every v1 line (cheap file-type identification).
 FPREC_MAGIC = "fprec"
-#: JSON-line wire version (readable; the replay/debug default).
+#: JSON-line wire version (decode-only: old captures).
 FPREC_VERSION = 1
-#: Binary columnar wire version (the ingest hot path).
+#: Binary columnar wire version (the only version written).
 FPREC_VERSION_BINARY = 2
-#: Every version this codec reads and writes.
-FPREC_VERSIONS = (FPREC_VERSION, FPREC_VERSION_BINARY)
 #: Conventional file extension for captured record streams.
 FPREC_SUFFIX = ".fprec"
 
@@ -213,40 +204,37 @@ def _int_key(value, where: str) -> int:
     return value
 
 
-def _require_version(version: int) -> None:
-    """Writer-side negotiation: only encode versions we can decode."""
-    if version not in FPREC_VERSIONS:
+def require_write_version(version: int) -> None:
+    """Writer-side check: v2 is the only version anything encodes.
+
+    The ``version=`` parameters of :func:`encode_batch`/:func:`encode_job`
+    and ``FleetConfig.wire_version`` survive with this one legal value
+    only because the frozen benchmark harness still passes
+    ``version=2``/``wire_version=2``; they go with its next revision.
+    """
+    if version != FPREC_VERSION_BINARY:
         raise UnsupportedVersionError(
-            f"cannot encode wire version {version} "
-            f"(supported versions: {FPREC_VERSIONS})"
+            f"cannot encode wire version {version}: v2 is the only written "
+            "format (v1 is decode-only)"
         )
 
 
-# ----------------------------------------------------------------------
-# v1 record encoding (JSON lines)
-# ----------------------------------------------------------------------
-def _encode_record(record: IterationRecord) -> list:
-    port_pairs = [
-        [_int_key(spine, "port_bytes key"), _check_finite(size, "port_bytes")]
-        for spine, size in sorted(record.port_bytes.items())
-    ]
-    sender_triples = [
-        [
-            _int_key(spine, "sender_bytes key"),
-            _int_key(src, "sender_bytes key"),
-            _check_finite(size, "sender_bytes"),
-        ]
-        for (spine, src), size in sorted(record.sender_bytes.items())
-    ]
-    return [
-        _int_key(record.leaf, "leaf"),
-        _int_key(record.start_ns, "start_ns"),
-        _int_key(record.end_ns, "end_ns"),
-        port_pairs,
-        sender_triples,
-    ]
+def require_frame(unit) -> bytes:
+    """``unit`` as v2 frame ``bytes``; anything else is a
+    :class:`CodecError`.  Past the edge decoders the fleet carries
+    frames only — a v1 ``str`` line must go through
+    :func:`transcode_line` (or :func:`decode_line`) first."""
+    if isinstance(unit, (bytes, bytearray)):
+        return bytes(unit)
+    raise CodecError(
+        f"expected a v2 frame (bytes), got {type(unit).__name__}; "
+        "v1 lines are decoded at the edge"
+    )
 
 
+# ----------------------------------------------------------------------
+# v1 record decoding (JSON lines)
+# ----------------------------------------------------------------------
 def _decode_record(entry, tag: FlowTag) -> IterationRecord:
     try:
         leaf, start_ns, end_ns, port_pairs, sender_triples = entry
@@ -279,32 +267,31 @@ def _decode_record(entry, tag: FlowTag) -> IterationRecord:
 
 
 # ----------------------------------------------------------------------
-# Line/frame encoding
+# Frame encoding
 # ----------------------------------------------------------------------
-def encode_batch(batch: RecordBatch, version: int = FPREC_VERSION) -> str | bytes:
-    """One :class:`RecordBatch` as one wire unit.
+def _check_int_fields(record: IterationRecord) -> None:
+    """The integer fields of a record must be ``int``: the int64
+    columns would silently truncate a float ``start_ns`` or key."""
+    _int_key(record.leaf, "leaf")
+    _int_key(record.start_ns, "start_ns")
+    _int_key(record.end_ns, "end_ns")
+    for spine in record.port_bytes:
+        _int_key(spine, "port_bytes key")
+    for spine, src in record.sender_bytes:
+        _int_key(spine, "sender_bytes key")
+        _int_key(src, "sender_bytes key")
 
-    Version 1 returns a JSON line (``str``, no trailing newline);
-    version 2 returns a complete binary frame (``bytes``).
-    """
-    _require_version(version)
-    if version == FPREC_VERSION_BINARY:
-        try:
-            segment = IterationSegment.from_records(list(batch.records))
-        except BlockError as exc:
-            raise CodecError(f"batch not representable as a v2 frame: {exc}") from exc
-        return encode_segment(segment)
-    payload = [
-        FPREC_MAGIC,
-        FPREC_VERSION,
-        "b",
-        batch.job_id,
-        batch.n_records,
-        batch.iteration,
-        batch.collective,
-        [_encode_record(record) for record in batch.records],
-    ]
-    return json.dumps(payload, separators=(",", ":"), allow_nan=False)
+
+def encode_batch(batch: RecordBatch, version: int = FPREC_VERSION_BINARY) -> bytes:
+    """One :class:`RecordBatch` as one complete v2 binary frame."""
+    require_write_version(version)
+    for record in batch.records:
+        _check_int_fields(record)
+    try:
+        segment = IterationSegment.from_records(list(batch.records))
+    except BlockError as exc:
+        raise CodecError(f"batch not representable as a v2 frame: {exc}") from exc
+    return encode_segment(segment)
 
 
 def _job_payload(job: JobConfig) -> dict:
@@ -318,20 +305,13 @@ def _job_payload(job: JobConfig) -> dict:
     }
 
 
-def encode_job(job: JobConfig, version: int = FPREC_VERSION) -> str | bytes:
-    """One :class:`JobConfig` as one wire unit (see :func:`encode_batch`)."""
-    _require_version(version)
-    body = json.dumps(_job_payload(job), separators=(",", ":"), allow_nan=False)
-    if version == FPREC_VERSION_BINARY:
-        encoded = body.encode()
-        return _HEADER.pack(
-            BINARY_MAGIC, FPREC_VERSION_BINARY, _KIND_JOB, 0, len(encoded)
-        ) + encoded
-    return json.dumps(
-        [FPREC_MAGIC, FPREC_VERSION, "j", _job_payload(job)],
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+def encode_job(job: JobConfig, version: int = FPREC_VERSION_BINARY) -> bytes:
+    """One :class:`JobConfig` as one v2 job frame."""
+    require_write_version(version)
+    body = json.dumps(
+        _job_payload(job), separators=(",", ":"), allow_nan=False
+    ).encode()
+    return _HEADER.pack(BINARY_MAGIC, FPREC_VERSION_BINARY, _KIND_JOB, 0, len(body)) + body
 
 
 def encode_segment(segment: IterationSegment) -> bytes:
@@ -596,24 +576,17 @@ def decode_batch(data: str | bytes) -> RecordBatch:
     )
 
 
-def decode_batch_segment(data: str | bytes) -> IterationSegment:
-    """Decode a batch unit straight into its columnar
+def decode_batch_segment(data: bytes) -> IterationSegment:
+    """Decode a v2 batch frame straight into its columnar
     :class:`~repro.core.blocks.IterationSegment`.
 
-    For v2 frames this is the shard-worker hot path: the columns come
-    off the wire with a handful of buffer views and no per-record dict
-    is ever built.  v1 lines are decoded normally and columnarized.
+    This is the shard-worker hot path: the columns come off the wire
+    with a handful of buffer views and no per-record dict is ever built.
     """
-    if isinstance(data, (bytes, bytearray)):
-        kind, payload = _split_frame(bytes(data))
-        if kind != _KIND_BATCH:
-            raise CodecError("expected a batch frame, got a job frame")
-        return _decode_segment_payload(payload)
-    batch = decode_batch(data)
-    try:
-        return IterationSegment.from_records(list(batch.records))
-    except BlockError as exc:  # pragma: no cover - decode already validated
-        raise CodecError(str(exc)) from exc
+    kind, payload = _split_frame(require_frame(data))
+    if kind != _KIND_BATCH:
+        raise CodecError("expected a batch frame, got a job frame")
+    return _decode_segment_payload(payload)
 
 
 def decode_job(data: str | bytes) -> JobConfig:
@@ -657,17 +630,16 @@ def peek_batch_tag(data: str | bytes) -> tuple[int, int, int]:
     """``(job_id, n_records, iteration)`` of a batch unit without a
     full parse.
 
-    The routing fields sit at fixed positions in both versions: a v1
-    line yields them from a bounded comma split, a v2 frame from
-    fixed-offset reads — this is what keeps the ingest frontend's
-    per-unit cost independent of batch size.  The iteration rides
-    along because the service keys its in-flight record accounting by
-    ``(job_id, iteration)``.  The fast paths validate the magic and
-    version at their fixed positions too, so a wrong-magic or
-    future-version unit whose prefix happens to look batch-shaped
-    raises the typed error here instead of deep inside a shard worker.
-    Anything the fast path cannot vouch for falls back to a full decode
-    (and its typed errors).
+    A v2 frame yields them from fixed-offset reads — this is what keeps
+    the ingest frontend's per-unit cost independent of batch size.  The
+    iteration rides along because the service keys its in-flight record
+    accounting by ``(job_id, iteration)``.  The fast path validates
+    every header field a worker's decode would (magic, version, kind,
+    reserved flags, length) plus a non-empty record count, so a
+    malformed header raises here, at ingest, instead of deep inside a
+    shard worker after the unit was counted.  Anything the fast path
+    cannot vouch for — including a v1 line — falls back to a full
+    decode (and its typed errors).
     """
     if isinstance(data, (bytes, bytearray)):
         data = bytes(data)
@@ -676,27 +648,28 @@ def peek_batch_tag(data: str | bytes) -> tuple[int, int, int]:
             and data[:4] == BINARY_MAGIC
             and data[4] == FPREC_VERSION_BINARY
             and data[5] == _KIND_BATCH
+            and data[6:8] == b"\x00\x00"
             and len(data) == _HEADER.size + int.from_bytes(data[8:12], "little")
+            and data[28:32] != b"\x00\x00\x00\x00"
         ):
             job_id = int.from_bytes(data[12:20], "little")
             iteration = int.from_bytes(data[20:28], "little")
             n_records = int.from_bytes(data[28:32], "little")
             return job_id, n_records, iteration
-        batch = decode_batch(data)  # raises a typed error or handles edge forms
-        return batch.job_id, batch.n_records, batch.iteration
-    parts = data.split(",", 6)
-    if (
-        len(parts) == 7
-        and parts[0] == f'["{FPREC_MAGIC}"'
-        and parts[1] == str(FPREC_VERSION)
-        and parts[2] == '"b"'
-    ):
-        try:
-            return int(parts[3]), int(parts[4]), int(parts[5])
-        except ValueError:
-            pass
     batch = decode_batch(data)  # raises a typed error or handles edge forms
     return batch.job_id, batch.n_records, batch.iteration
+
+
+def transcode_line(line: str) -> tuple[str, bytes]:
+    """One v1 JSON line as ``(kind, v2 frame)`` — the edge conversion.
+
+    The frame is byte-identical to encoding the decoded object directly,
+    so everything past the edge sees one unit type whatever the capture
+    version; a line that does not decode, or whose batch a frame cannot
+    carry, raises :class:`CodecError` here.
+    """
+    kind, unit = decode_line(line)
+    return kind, encode_batch(unit) if kind == "b" else encode_job(unit)
 
 
 def peek_batch(data: str | bytes) -> tuple[int, int]:
@@ -729,11 +702,11 @@ class StreamDecoder:
 
     - decoded (default): units are ``("b", RecordBatch)`` /
       ``("j", JobConfig)`` pairs, as :func:`iter_fprec` yields.
-    - ``raw=True``: units are ``("b" | "j", encoded_unit)`` where the
-      encoded unit is the exact wire form (``str`` line without its
-      newline, or complete frame ``bytes``) — the zero-copy path the TCP
-      frontend routes straight into ``submit_encoded`` without ever
-      materializing records.
+    - ``raw=True``: units are ``("b" | "j", frame)`` where the frame is
+      the v2 wire form — the exact bytes of a v2 unit, or the
+      :func:`transcode_line` frame of a v1 line.  This is the edge the
+      TCP frontend and journal replay read through: what it yields goes
+      straight into ``submit_encoded`` without materializing records.
 
     ``max_buffer`` bounds memory per stream: a unit that fails to
     complete within that many buffered bytes (or a frame whose length
@@ -771,19 +744,7 @@ class StreamDecoder:
         line = line.strip()
         if not line:
             return None
-        if self.raw:
-            # Routing-cost kind peek, falling back to full validation.
-            parts = line.split(",", 3)
-            if (
-                len(parts) >= 3
-                and parts[0] == f'["{FPREC_MAGIC}"'
-                and parts[1] == str(FPREC_VERSION)
-                and parts[2] in ('"b"', '"j"')
-            ):
-                return parts[2][1:-1], line
-            kind, _payload = _parse_line(line)
-            return kind, line
-        return decode_line(line)
+        return transcode_line(line) if self.raw else decode_line(line)
 
     def _emit_frame(self, frame: bytes):
         kind, _payload = _split_frame(frame)
@@ -869,41 +830,31 @@ def batches_from_run(
     return [RecordBatch.from_records(records) for records in run_records]
 
 
-def _stream_unit(encoded: str | bytes, text: bool) -> str | bytes:
-    """One encoded unit as written to a stream: JSON lines get their
-    newline delimiter, binary frames are self-delimiting."""
-    if isinstance(encoded, str):
-        line = encoded + "\n"
-        return line if text else line.encode()
-    return encoded
+def _require_binary_stream(stream) -> None:
+    if isinstance(stream, io.TextIOBase):
+        raise CodecError(
+            "fprec streams are binary: pass a path or a binary stream, "
+            "not a text stream"
+        )
 
 
 def write_fprec(
     target: str | pathlib.Path | IO,
     jobs: Iterable[JobConfig] = (),
     batches: Iterable[RecordBatch] = (),
-    version: int = FPREC_VERSION,
 ) -> int:
-    """Write jobs then batches as a ``.fprec`` stream; returns the unit
-    count.  ``version`` selects the wire format: 1 writes readable JSON
-    lines (text file), 2 writes binary columnar frames (binary file).
-    """
-    _require_version(version)
+    """Write jobs then batches as a ``.fprec`` stream of v2 frames to a
+    path or a binary stream; returns the unit count."""
     if isinstance(target, (str, pathlib.Path)):
-        mode = "w" if version == FPREC_VERSION else "wb"
-        with open(target, mode) as handle:
-            return write_fprec(handle, jobs, batches, version=version)
-    text = isinstance(target, io.TextIOBase)
-    if text and version != FPREC_VERSION:
-        raise CodecError(
-            "binary v2 frames need a binary stream or a path, not a text stream"
-        )
+        with open(target, "wb") as handle:
+            return write_fprec(handle, jobs, batches)
+    _require_binary_stream(target)
     count = 0
     for job in jobs:
-        target.write(_stream_unit(encode_job(job, version=version), text))
+        target.write(encode_job(job))
         count += 1
     for batch in batches:
-        target.write(_stream_unit(encode_batch(batch, version=version), text))
+        target.write(encode_batch(batch))
         count += 1
     return count
 
@@ -930,23 +881,18 @@ def _iter_fprec_binary(stream, raw: bool = False) -> Iterator[tuple[str, object]
 
 
 def iter_fprec(source: str | pathlib.Path | IO) -> Iterator[tuple[str, object]]:
-    """Stream a ``.fprec`` file as ``("j", JobConfig)`` / ``("b",
-    RecordBatch)`` events (blank lines skipped).
+    """Stream a ``.fprec`` file (a path or a binary stream) as
+    ``("j", JobConfig)`` / ``("b", RecordBatch)`` events.
 
-    Files are read in binary mode and every unit's version is
-    auto-detected, so v1 JSON lines and v2 binary frames mix freely in
-    one stream.  A text stream can only ever carry v1 lines.
+    Every unit's version is auto-detected, so v2 frames and the v1 JSON
+    lines of old captures (blank lines skipped) mix freely in one
+    stream.
     """
     if isinstance(source, (str, pathlib.Path)):
         with open(source, "rb") as handle:
             yield from _iter_fprec_binary(handle)
         return
-    if isinstance(source, io.TextIOBase):
-        for line in source:
-            line = line.strip()
-            if line:
-                yield decode_line(line)
-        return
+    _require_binary_stream(source)
     yield from _iter_fprec_binary(source)
 
 

@@ -39,7 +39,7 @@ import pathlib
 import tempfile
 from dataclasses import dataclass
 
-from ..codec import _iter_fprec_binary, _stream_unit
+from ..codec import _iter_fprec_binary, require_frame
 from ..shard import FleetError
 
 
@@ -130,16 +130,17 @@ class ShardJournal:
     def path(self, shard: int) -> pathlib.Path:
         return self.directory / f"shard-{shard}.fprec"
 
-    def append(self, shard: int, unit: str | bytes) -> None:
-        """Append one encoded wire unit to ``shard``'s journal."""
+    def append(self, shard: int, unit: bytes) -> None:
+        """Append one v2 frame to ``shard``'s journal."""
+        unit = require_frame(unit)
         handle = self._files.get(shard)
         if handle is None:
             handle = open(self.path(shard), "ab")
             self._files[shard] = handle
-        handle.write(_stream_unit(unit, text=False))
+        handle.write(unit)
 
     def units(self, shard: int):
-        """Yield ``(kind, raw_unit)`` from ``shard``'s journal, read the
+        """Yield ``(kind, frame)`` from ``shard``'s journal, read the
         way ``.fprec`` files are replayed.  Flushes the shard's pending
         appends first."""
         handle = self._files.pop(shard, None)

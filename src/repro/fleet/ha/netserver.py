@@ -1,13 +1,14 @@
 """Asyncio TCP ingest: the fleet's streaming front-end.
 
 :class:`FleetNetServer` accepts concurrent socket connections speaking
-the ``.fprec`` wire stream — v1 JSON lines and v2 binary frames, mixed
-freely — and routes every completed unit into a running
+the ``.fprec`` wire stream — v2 binary frames, and the v1 JSON lines of
+old captures — and routes every completed unit into a running
 :class:`~repro.fleet.service.FleetService`.  Each
 connection owns one :class:`~repro.fleet.codec.StreamDecoder` in raw
-mode, so frames split across TCP segments reassemble incrementally and
-batches flow into ``try_submit_encoded`` as encoded units, never
-materialized into records in the frontend.
+mode, so frames split across TCP segments reassemble incrementally, v1
+lines become v2 frames at this edge, and batches flow into
+``try_submit_encoded`` as frames, never materialized into records in
+the frontend.
 
 Backpressure is per connection and never blocks the event loop: when a
 batch's target shard inbox is full (``try_submit_encoded`` returns
@@ -30,12 +31,13 @@ from dataclasses import dataclass, field
 
 from ..codec import (
     CodecError,
+    RecordBatch,
     StreamDecoder,
-    _stream_unit,
     decode_job,
     encode_batch,
     encode_job,
     peek_batch,
+    require_frame,
 )
 from ..shard import FleetError
 
@@ -185,7 +187,7 @@ class FleetNetServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _ingest(self, kind: str, unit: str | bytes) -> None:
+    async def _ingest(self, kind: str, unit: bytes) -> None:
         """Route one completed wire unit into the service; a full shard
         inbox pauses only this connection's reads."""
         self.stats.units += 1
@@ -255,7 +257,6 @@ def stream_workload(
     port: int,
     jobs,
     batches,
-    version: int = 1,
     connections: int = 1,
 ) -> StreamStats:
     """Stream a whole workload to a :class:`FleetNetServer` over N
@@ -275,21 +276,20 @@ def stream_workload(
     }
     payloads: list[list[bytes]] = [[] for _ in range(connections)]
     for job in jobs:
-        unit = _stream_unit(encode_job(job, version=version), text=False)
-        payloads[lane_of[job.job_id]].append(unit)
+        payloads[lane_of[job.job_id]].append(encode_job(job))
     n_batches = 0
     n_records = 0
     for batch in batches:
-        if isinstance(batch, (str, bytes)):
-            encoded = batch
-            job_id, batch_records = peek_batch(batch)
-        else:
-            encoded = encode_batch(batch, version=version)
+        if isinstance(batch, RecordBatch):
+            encoded = encode_batch(batch)
             job_id, batch_records = batch.job_id, batch.n_records
+        else:
+            encoded = require_frame(batch)
+            job_id, batch_records = peek_batch(encoded)
         lane = lane_of.get(job_id)
         if lane is None:
             lane = job_id % connections  # unregistered job: stable lane
-        payloads[lane].append(_stream_unit(encoded, text=False))
+        payloads[lane].append(encoded)
         n_batches += 1
         n_records += batch_records
     lanes = [payload for payload in payloads if payload]

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..analysis.experiments import ExperimentConfig, _trial_rng, build_trial, demand_for
 from ..fastsim.model import run_iterations
-from .codec import FPREC_VERSION, JobConfig, RecordBatch, write_fprec
+from .codec import JobConfig, RecordBatch, write_fprec
 from .shard import FleetError
 
 #: Job ids start here; ids are dense so routing balance is testable.
@@ -151,11 +151,9 @@ def generate_workload(
     return jobs, batches
 
 
-def write_workload(
-    config: LoadGenConfig, target, version: int = FPREC_VERSION
-) -> tuple[list[JobConfig], int]:
-    """Generate a workload and record it to a ``.fprec`` file at the
-    chosen wire version; returns the job table and the unit count."""
+def write_workload(config: LoadGenConfig, target) -> tuple[list[JobConfig], int]:
+    """Generate a workload and record it to a ``.fprec`` file; returns
+    the job table and the unit count."""
     jobs, batches = generate_workload(config)
-    n_lines = write_fprec(target, jobs, batches, version=version)
-    return jobs, n_lines
+    n_units = write_fprec(target, jobs, batches)
+    return jobs, n_units

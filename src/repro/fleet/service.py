@@ -1,7 +1,7 @@
 """The fleet service: sharded streaming monitoring of many jobs.
 
 :class:`FleetService` is the serving layer over everything below it:
-records arrive as encoded wire lines (:mod:`repro.fleet.codec`), are
+records arrive as encoded v2 frames (:mod:`repro.fleet.codec`), are
 routed by consistent hash (:mod:`repro.fleet.shard`) to a pool of
 worker processes each owning the monitors of its jobs, and triggered
 verdicts flow back to the parent where the aggregator
@@ -47,13 +47,15 @@ from ..telemetry.events import EventLog
 from ..telemetry.registry import MetricsRegistry
 from .aggregate import DEFAULT_QUIET_GAP, FleetAggregator, Incident
 from .codec import (
-    FPREC_VERSIONS,
+    FPREC_VERSION_BINARY,
     JobConfig,
     RecordBatch,
     decode_job,
     encode_batch,
     encode_job,
     peek_batch_tag,
+    require_frame,
+    require_write_version,
 )
 from .ha.coordinator import ReplicatedCoordinator, View
 from .ha.failover import HAConfig, HeartbeatMonitor, ShardJournal
@@ -86,7 +88,9 @@ class FleetConfig:
     queue_depth: int = 1024
     policy: str = "block"  # "block" | "shed-oldest"
     return_verdicts: bool = False
-    wire_version: int = 1  # fprec version submit() encodes at (1 | 2)
+    #: Must be 2: kept only for callers that still pass it (see
+    #: :func:`~repro.fleet.codec.require_write_version`).
+    wire_version: int = FPREC_VERSION_BINARY
     #: Max messages a worker drains per wake-up for block scoring.
     #: Capped at ``queue_depth`` so a worker never buffers more than
     #: the bounded queue itself may hold — otherwise coalescing would
@@ -106,11 +110,7 @@ class FleetConfig:
                 f"unknown backpressure policy {self.policy!r} "
                 "(expected 'block' or 'shed-oldest')"
             )
-        if self.wire_version not in FPREC_VERSIONS:
-            raise FleetError(
-                f"unknown wire version {self.wire_version!r} "
-                f"(supported: {FPREC_VERSIONS})"
-            )
+        require_write_version(self.wire_version)
         if self.coalesce < 1:
             raise FleetError("coalesce must be at least 1")
         if self.quiet_gap < 1:
@@ -434,34 +434,31 @@ class FleetService:
         self._require_started()
         shard = self._route(job.job_id)
         if self.journal is not None:
-            self.journal.append(
-                shard, encode_job(job, version=self.config.wire_version)
-            )
+            self.journal.append(shard, encode_job(job))
         self._put_draining(shard, ("job", job))
         self.jobs[job.job_id] = job
         self.registry.counter("fleet.submitted_jobs").inc()
         return shard
 
     def submit(self, batch: RecordBatch) -> None:
-        """Encode (at the configured wire version) and ingest one batch."""
-        self.submit_encoded(
-            encode_batch(batch, version=self.config.wire_version),
-            batch.job_id,
-            batch.n_records,
-        )
+        """Encode (as a v2 frame) and ingest one batch."""
+        self.submit_encoded(encode_batch(batch), batch.job_id, batch.n_records)
 
-    def submit_encoded(self, line: str | bytes, job_id: int | None = None, n_records: int | None = None) -> None:
-        """Ingest an already-encoded wire unit (the replay fast path):
-        a v1 JSON line (``str``) or a v2 binary frame (``bytes``).
+    def submit_encoded(
+        self, frame: bytes, job_id: int | None = None, n_records: int | None = None
+    ) -> None:
+        """Ingest an already-encoded v2 batch frame (the replay fast
+        path); a v1 ``str`` line raises :class:`CodecError` (convert it
+        at the edge with :func:`~repro.fleet.codec.transcode_line`).
 
         ``job_id``/``n_records`` may be omitted; they are then peeked
-        from the unit's routing prefix without a full parse.
+        from the frame header without a full parse.
         """
-        self._ingest(line, job_id, n_records, wait=True)
+        self._ingest(frame, job_id, n_records, wait=True)
 
     def try_submit_encoded(
         self,
-        line: str | bytes,
+        frame: bytes,
         job_id: int | None = None,
         n_records: int | None = None,
     ) -> bool:
@@ -474,17 +471,18 @@ class FleetService:
         ``shed-oldest`` it always accepts (the shed counters absorb the
         overflow, exactly as in blocking submit).
         """
-        return self._ingest(line, job_id, n_records, wait=False)
+        return self._ingest(frame, job_id, n_records, wait=False)
 
     def _ingest(
-        self, line: str | bytes, job_id: int | None, n_records: int | None, wait: bool
+        self, frame: bytes, job_id: int | None, n_records: int | None, wait: bool
     ) -> bool:
-        """The one ingest body: peek the unit once, route it, enter it
+        """The one ingest body: peek the frame once, route it, enter it
         in the journal and the in-flight ledger, enqueue it under the
         backpressure policy, and count it.  ``wait=False`` returns False
         on a full inbox under ``block``, before anything is recorded."""
         self._require_started()
-        peeked_job, peeked_records, iteration = peek_batch_tag(line)
+        frame = require_frame(frame)
+        peeked_job, peeked_records, iteration = peek_batch_tag(frame)
         if job_id is None or n_records is None:
             job_id, n_records = peeked_job, peeked_records
         started = time.perf_counter()
@@ -497,9 +495,9 @@ class FleetService:
         # Journal and ledger first: the unit is on record before a
         # worker can score it or a failover can replay it.
         if self.journal is not None:
-            self.journal.append(shard, line)
+            self.journal.append(shard, frame)
         self._inflight[(job_id, iteration)] = n_records
-        message = ("batch", line, n_records, time.time())
+        message = ("batch", frame, n_records, time.time())
         if blocking:
             self._put_draining(shard, message)
         else:
@@ -975,16 +973,17 @@ def serve_workload(
     ha: HAConfig | None = None,
 ) -> FleetResult:
     """Run a whole workload through a fresh service: register every job,
-    stream every batch, drain, and return the result."""
+    stream every batch (a :class:`RecordBatch` or an encoded v2 frame),
+    drain, and return the result."""
     service = FleetService(config=config, telemetry=telemetry, ha=ha)
     with service:
         for job in jobs:
             service.submit_job(job)
         for batch in batches:
-            if isinstance(batch, (str, bytes)):
-                service.submit_encoded(batch)
-            else:
+            if isinstance(batch, RecordBatch):
                 service.submit(batch)
+            else:
+                service.submit_encoded(batch)
     result = service.result
     assert result is not None
     return result

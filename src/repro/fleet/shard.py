@@ -9,8 +9,8 @@ hashing (:class:`ShardRouter`), and each shard's bounded FIFO inbox
 preserves per-job order end to end.
 
 The worker (:func:`shard_worker`) owns the monitors of the jobs routed
-to it: it decodes incoming wire units (v1 JSON lines or v2 binary
-frames), coalesces queued batches, scores them per job through
+to it: it decodes incoming v2 frames into columnar segments, coalesces
+queued batches, scores them per job through
 :meth:`~repro.core.monitor.FlowPulseMonitor.process_block`, and
 ships verdicts back on its private framed outbox pipe.  Everything it touches is
 deterministic given the job configs and record stream, which is what
@@ -36,7 +36,7 @@ from ..analysis.experiments import build_trial, make_predictor
 from ..core.detection import DetectionConfig
 from ..core.monitor import FlowPulseMonitor
 from ..telemetry.registry import MetricsRegistry
-from .codec import CodecError, JobConfig, decode_batch, decode_batch_segment
+from .codec import CodecError, JobConfig, decode_batch_segment
 
 
 class FleetError(RuntimeError):
@@ -160,9 +160,9 @@ def shard_worker(
     - ``("job", JobConfig)`` — register a job; builds its monitor.
       Idempotent: re-registering a known job keeps the live monitor
       (failover replays registrations ahead of the record journal).
-    - ``("batch", unit, n_records, submitted_at)`` — one encoded
-      :class:`~repro.fleet.codec.RecordBatch` (v1 JSON line ``str`` or
-      v2 binary frame ``bytes``) plus its submit wall time.
+    - ``("batch", frame, n_records, submitted_at)`` — one
+      :class:`~repro.fleet.codec.RecordBatch` as a v2 frame plus its
+      submit wall time.
     - ``("replay", unit, n_records, submitted_at)`` — same payload, but
       the unit is a journal replay (failover / resharding handoff): it
       is scored identically and additionally counted in
@@ -177,9 +177,9 @@ def shard_worker(
 
     Each wake-up drains up to ``coalesce`` queued messages and scores
     the drained batches job by job through
-    :meth:`~repro.core.monitor.FlowPulseMonitor.process_block` — v2
-    frames arrive as columnar segments and whole runs of quiet
-    iterations are scored in one vectorized pass.  Per-job batch order
+    :meth:`~repro.core.monitor.FlowPulseMonitor.process_block` — frames
+    decode to columnar segments and whole runs of quiet iterations are
+    scored in one vectorized pass.  Per-job batch order
     is preserved (the golden-parity invariant); control messages act as
     barriers, flushing buffered batches before taking effect.
 
@@ -260,21 +260,15 @@ def shard_worker(
         metas: dict[int, list[tuple[int, float, bool]]] = {}
         for kind, unit, _n_records, submitted_at in pending:
             try:
-                if isinstance(unit, (bytes, bytearray)):
-                    # v2 hot path: straight to the columnar segment,
-                    # no per-record materialization.
-                    entry = decode_batch_segment(unit)
-                    job_id, n_records = entry.job_id, entry.n_records
-                else:
-                    batch = decode_batch(unit)
-                    entry = list(batch.records)
-                    job_id, n_records = batch.job_id, batch.n_records
+                # Straight to the columnar segment, no per-record
+                # materialization.
+                segment = decode_batch_segment(unit)
             except (CodecError, RuntimeError, ValueError) as exc:
                 report_error(exc)
                 continue
-            groups.setdefault(job_id, []).append(entry)
-            metas.setdefault(job_id, []).append(
-                (n_records, submitted_at, kind == "replay")
+            groups.setdefault(segment.job_id, []).append(segment)
+            metas.setdefault(segment.job_id, []).append(
+                (segment.n_records, submitted_at, kind == "replay")
             )
         for job_id, entries in groups.items():
             monitor = monitors.get(job_id)

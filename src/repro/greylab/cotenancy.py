@@ -38,7 +38,7 @@ from ..collectives.schedule import StagedCollectiveRunner
 from ..core.detection import DetectionConfig
 from ..core.monitor import FlowPulseMonitor
 from ..core.prediction import AnalyticalPredictor
-from ..fleet.codec import FPREC_VERSION, JobConfig, RecordBatch, write_fprec
+from ..fleet.codec import JobConfig, RecordBatch, write_fprec
 from ..simnet.congestion import CongestionConfig
 from ..simnet.counters import IterationRecord
 from ..simnet.network import Network
@@ -340,11 +340,10 @@ def cotenant_workload(
 def write_cotenant_workload(
     config: CotenancyConfig | None = None,
     target="cotenant.fprec",
-    version: int = FPREC_VERSION,
 ) -> tuple[list[JobConfig], int]:
     """Capture a co-tenant run as a ``.fprec`` file ``repro fleet
     serve --input`` (or ``repro report``) can consume; returns the job
     table and the unit count."""
     jobs, batches, _ = cotenant_workload(config)
-    n_units = write_fprec(target, jobs, batches, version=version)
+    n_units = write_fprec(target, jobs, batches)
     return jobs, n_units

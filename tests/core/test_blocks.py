@@ -1,9 +1,9 @@
 """Columnar segments and vectorized block scoring.
 
-The load-bearing property is golden parity: for any block composition
-(segments or raw record lists, any chunking, any predictor),
-``process_block`` must produce verdicts bit-identical to feeding the
-same iterations one at a time through ``process_iteration``.
+The load-bearing property is golden parity: for any chunking of
+segments and any predictor, ``process_block`` must produce verdicts
+bit-identical to feeding the same iterations one at a time through
+``process_iteration``.
 """
 
 from __future__ import annotations
@@ -158,31 +158,16 @@ def test_process_block_parity_segments(predictor, chunk):
     assert got == reference  # bit-identical IterationVerdicts
 
 
-def test_process_block_parity_record_lists():
-    """Raw record lists (the v1 worker path) take the scalar oracle
-    inside process_block and still match exactly."""
+def test_process_block_rejects_record_lists():
+    """Segments are the only block entry: a record list, alone or mixed
+    with segments, is a typed error."""
     config = experiment()
     setup, iterations = run_records(config)
-    reference_monitor = fresh_monitor(config, setup)
-    reference = [reference_monitor.process_iteration(list(r)) for r in iterations]
-
-    block_monitor = fresh_monitor(config, setup)
-    got = block_monitor.process_block([list(r) for r in iterations])
-    assert got == reference
-
-
-def test_process_block_parity_mixed_entries():
-    config = experiment()
-    setup, iterations = run_records(config)
-    reference_monitor = fresh_monitor(config, setup)
-    reference = [reference_monitor.process_iteration(list(r)) for r in iterations]
-
-    block_monitor = fresh_monitor(config, setup)
-    entries = [
-        IterationSegment.from_records(list(r)) if index % 2 == 0 else list(r)
-        for index, r in enumerate(iterations)
-    ]
-    assert block_monitor.process_block(entries) == reference
+    monitor = fresh_monitor(config, setup)
+    segment = IterationSegment.from_records(list(iterations[0]))
+    for block in ([list(iterations[0])], [segment, list(iterations[1])]):
+        with pytest.raises(BlockError, match="IterationSegment"):
+            monitor.process_block(block)
 
 
 def test_process_block_empty():

@@ -29,6 +29,8 @@ from repro.fleet.codec import FPREC_VERSION
 from repro.simnet.counters import IterationRecord
 from repro.simnet.packet import FlowTag
 
+from .legacy_v1 import v1_batch_line, v1_job_line
+
 
 def make_record(leaf=0, job_id=3, iteration=2, port_bytes=None, sender_bytes=None):
     return IterationRecord(
@@ -142,7 +144,7 @@ def test_non_finite_sender_bytes_rejected_on_encode(bad):
 
 
 def test_non_finite_json_literal_rejected_on_decode():
-    line = encode_batch(make_batch(port_bytes={0: 125.0}))
+    line = v1_batch_line(make_batch(port_bytes={0: 125.0}))
     doctored = line.replace("125.0", "NaN")
     assert "NaN" in doctored
     with pytest.raises(CodecError, match="non-finite"):
@@ -153,8 +155,7 @@ def test_non_finite_json_literal_rejected_on_decode():
 # Versioning and malformed lines
 # ----------------------------------------------------------------------
 def test_unknown_version_raises_typed_error():
-    line = encode_batch(make_batch())
-    payload = json.loads(line)
+    payload = json.loads(v1_batch_line(make_batch()))
     payload[1] = FPREC_VERSION + 1
     with pytest.raises(UnsupportedVersionError, match="version"):
         decode_batch(json.dumps(payload))
@@ -164,7 +165,7 @@ def test_unknown_version_raises_typed_error():
 
 
 def test_unknown_version_not_a_keyerror():
-    payload = json.loads(encode_batch(make_batch()))
+    payload = json.loads(v1_batch_line(make_batch()))
     payload[1] = 99
     try:
         decode_batch(json.dumps(payload))
@@ -192,7 +193,7 @@ def test_malformed_lines_raise_codec_error(line):
 
 
 def test_record_count_mismatch_rejected():
-    payload = json.loads(encode_batch(make_batch(n_leaves=3)))
+    payload = json.loads(v1_batch_line(make_batch(n_leaves=3)))
     payload[4] = 2  # declared n_records
     with pytest.raises(CodecError, match="declares"):
         decode_batch(json.dumps(payload))
@@ -225,7 +226,7 @@ def test_job_id_mismatch_rejected():
 
 
 def test_invalid_experiment_in_job_line_is_codec_error():
-    line = encode_job(job_config())
+    line = v1_job_line(job_config())
     doctored = line.replace('"drop_rate":0.015', '"drop_rate":7.5')
     assert doctored != line
     with pytest.raises(CodecError, match="malformed job config"):
@@ -262,7 +263,7 @@ def test_fprec_file_round_trip(tmp_path):
 
 
 def test_fprec_stream_io():
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     write_fprec(buffer, [job_config()], [make_batch(job_id=4)])
     buffer.seek(0)
     content = read_fprec(buffer)

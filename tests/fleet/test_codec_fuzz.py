@@ -29,6 +29,7 @@ from repro.fleet import (
     read_fprec,
 )
 
+from .legacy_v1 import v1_batch_line
 from .test_codec import job_config, make_batch
 
 DECODERS = (decode_line, decode_batch, decode_job, peek_batch, decode_batch_segment)
@@ -65,7 +66,7 @@ def test_every_truncation_fails_typed(make_unit):
 
 
 def test_every_v1_truncation_fails_typed():
-    line = encode_batch(make_batch(n_leaves=2))
+    line = v1_batch_line(make_batch(n_leaves=2))
     for cut in range(len(line)):
         assert_typed_failure_or_value(line[:cut])  # some prefixes parse as JSON scalars
 
@@ -164,7 +165,7 @@ def test_mixed_version_stream_with_future_unit_fails_typed(tmp_path):
     path = tmp_path / "future.fprec"
     with open(path, "wb") as handle:
         handle.write(v2_job_frame())
-        handle.write(encode_batch(make_batch()).encode() + b"\n")
+        handle.write(v1_batch_line(make_batch()).encode() + b"\n")
         handle.write(bytes(frame))
     from repro.fleet import UnsupportedVersionError
 

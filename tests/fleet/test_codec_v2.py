@@ -36,9 +36,11 @@ from repro.fleet import (
     read_fprec,
     write_fprec,
 )
+from repro.fleet.codec import transcode_line
 from repro.simnet.counters import IterationRecord
 from repro.simnet.packet import FlowTag
 
+from .legacy_v1 import v1_batch_line, v1_job_line
 from .test_codec import job_config, make_batch, make_record
 
 
@@ -60,7 +62,7 @@ def test_v2_batch_round_trip_exact():
 def test_v2_equals_v1_after_decode():
     """Both wire versions decode to the identical batch object."""
     batch = make_batch(n_leaves=4, job_id=9)
-    via_v1 = decode_batch(encode_batch(batch, version=FPREC_VERSION))
+    via_v1 = decode_batch(v1_batch_line(batch))
     via_v2 = decode_batch(encode_batch(batch, version=FPREC_VERSION_BINARY))
     assert via_v1 == via_v2 == batch
 
@@ -123,8 +125,9 @@ def test_v2_segment_decode_matches_records():
     assert segment.job_id == batch.job_id
     assert segment.n_records == 3
     assert segment.records() == list(batch.records)
-    # the v1 line columnarizes to the same thing
-    assert decode_batch_segment(encode_batch(batch)).records() == list(batch.records)
+    # the v1 line, converted at the edge, columnarizes to the same thing
+    _kind, frame = transcode_line(v1_batch_line(batch))
+    assert decode_batch_segment(frame).records() == list(batch.records)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -135,12 +138,14 @@ def test_v2_non_finite_rejected_on_encode(bad):
 
 
 def test_unknown_write_version_rejected():
-    with pytest.raises(UnsupportedVersionError, match="cannot encode"):
-        encode_batch(make_batch(), version=3)
-    with pytest.raises(UnsupportedVersionError):
-        encode_job(job_config(), version=0)
-    with pytest.raises(UnsupportedVersionError):
-        write_fprec(io.StringIO(), [job_config()], [], version=5)
+    """v2 is the only version written: v1 is decode-only, and anything
+    else is unknown."""
+    for version in (FPREC_VERSION, 3):
+        with pytest.raises(UnsupportedVersionError, match="cannot encode"):
+            encode_batch(make_batch(), version=version)
+    for version in (0, FPREC_VERSION):
+        with pytest.raises(UnsupportedVersionError, match="v1 is decode-only"):
+            encode_job(job_config(), version=version)
 
 
 def test_future_binary_version_is_typed_error():
@@ -156,14 +161,14 @@ def test_future_binary_version_is_typed_error():
 def test_peek_rejects_wrong_magic_line():
     """A garbage-magic line with a batch-shaped prefix must not be
     routed; the old fast path returned (job_id, n_records) for it."""
-    line = encode_batch(make_batch(job_id=17, n_leaves=4))
+    line = v1_batch_line(make_batch(job_id=17, n_leaves=4))
     doctored = line.replace('["fprec"', '["fprec2"', 1)
     with pytest.raises(CodecError, match="magic"):
         peek_batch(doctored)
 
 
 def test_peek_rejects_future_version_line():
-    payload = json.loads(encode_batch(make_batch(job_id=17)))
+    payload = json.loads(v1_batch_line(make_batch(job_id=17)))
     payload[1] = FPREC_VERSION_BINARY + 7
     with pytest.raises(UnsupportedVersionError):
         peek_batch(json.dumps(payload, separators=(",", ":")))
@@ -201,7 +206,7 @@ def test_peek_on_v2_job_frame_raises():
 @pytest.mark.parametrize("bad", ['"0"', "1.5", "null"])
 def test_stringly_timestamps_rejected_on_decode(field_index, name, bad):
     """start_ns/end_ns go through _int_key like every other field."""
-    payload = json.loads(encode_batch(make_batch(n_leaves=1)))
+    payload = json.loads(v1_batch_line(make_batch(n_leaves=1)))
     entry = payload[7][0]
     entry[field_index] = json.loads(bad)
     with pytest.raises(CodecError, match=name):
@@ -212,8 +217,8 @@ def test_timestamps_round_trip_v1_and_v2():
     record = make_record()
     assert record.start_ns == 100 and record.end_ns == 5_000
     batch = RecordBatch.from_records([record])
-    for version in (FPREC_VERSION, FPREC_VERSION_BINARY):
-        decoded = decode_batch(encode_batch(batch, version=version))
+    for unit in (v1_batch_line(batch), encode_batch(batch)):
+        decoded = decode_batch(unit)
         assert decoded.records[0].start_ns == 100
         assert decoded.records[0].end_ns == 5_000
 
@@ -235,7 +240,7 @@ def test_non_int_timestamp_rejected_on_encode():
 # decode_job field validation regressions
 # ----------------------------------------------------------------------
 def _job_dict(**overrides):
-    data = json.loads(encode_job(job_config()))[3]
+    data = json.loads(v1_job_line(job_config()))[3]
     data.update(overrides)
     return data
 
@@ -308,7 +313,7 @@ def test_fprec_v2_file_round_trip(tmp_path):
     jobs = [job_config(job_id=1), job_config(job_id=2, faulted=False)]
     batches = [make_batch(job_id=1, iteration=i) for i in range(3)]
     path = tmp_path / "stream.fprec"
-    n_units = write_fprec(path, jobs, batches, version=FPREC_VERSION_BINARY)
+    n_units = write_fprec(path, jobs, batches)
     assert n_units == 5
     content = read_fprec(path)
     assert content.jobs == jobs
@@ -321,10 +326,10 @@ def test_fprec_mixed_version_file(tmp_path):
     batches = [make_batch(job_id=1, iteration=i) for i in range(4)]
     path = tmp_path / "mixed.fprec"
     with open(path, "wb") as handle:
-        write_fprec(handle, [job], batches[:1], version=FPREC_VERSION_BINARY)
-        write_fprec(handle, [], batches[1:2], version=FPREC_VERSION)
-        write_fprec(handle, [], batches[2:3], version=FPREC_VERSION_BINARY)
-        write_fprec(handle, [], batches[3:], version=FPREC_VERSION)
+        write_fprec(handle, [job], batches[:1])
+        handle.write(v1_batch_line(batches[1]).encode() + b"\n")
+        write_fprec(handle, [], batches[2:3])
+        handle.write(v1_batch_line(batches[3]).encode() + b"\n")
     content = read_fprec(path)
     assert content.jobs == [job]
     assert content.batches == batches
@@ -332,13 +337,77 @@ def test_fprec_mixed_version_file(tmp_path):
 
 def test_v2_to_text_stream_rejected():
     with pytest.raises(CodecError, match="binary"):
-        write_fprec(io.StringIO(), [job_config()], [], version=FPREC_VERSION_BINARY)
+        write_fprec(io.StringIO(), [job_config()], [])
+    with pytest.raises(CodecError, match="binary"):
+        read_fprec(io.StringIO(v1_job_line(job_config())))
 
 
 def test_fprec_binary_stream_io():
     buffer = io.BytesIO()
-    write_fprec(buffer, [job_config()], [make_batch(job_id=4)], version=FPREC_VERSION_BINARY)
+    write_fprec(buffer, [job_config()], [make_batch(job_id=4)])
     buffer.seek(0)
     content = read_fprec(buffer)
     assert content.job_ids() == [4]
     assert len(content.batches) == 1
+
+
+# ----------------------------------------------------------------------
+# v1 vs v2 differential: one batch, both decoders, the edge transcode
+# ----------------------------------------------------------------------
+VALUES = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+KEYS = st.integers(min_value=0, max_value=2**31)
+
+
+@st.composite
+def batches(draw):
+    tag = FlowTag(
+        job_id=draw(st.integers(min_value=0, max_value=2**63)),
+        iteration=draw(st.integers(min_value=0, max_value=2**63)),
+        collective=draw(st.text(max_size=12)),
+    )
+    leaves = draw(st.lists(KEYS, min_size=1, max_size=6))
+    records = []
+    for leaf in leaves:
+        start_ns = draw(st.integers(min_value=0, max_value=2**62))
+        records.append(
+            IterationRecord(
+                leaf=leaf,
+                tag=tag,
+                port_bytes=draw(st.dictionaries(KEYS, VALUES, max_size=5)),
+                sender_bytes=draw(st.dictionaries(st.tuples(KEYS, KEYS), VALUES, max_size=5)),
+                start_ns=start_ns,
+                end_ns=start_ns + draw(st.integers(min_value=0, max_value=2**32)),
+            )
+        )
+    return RecordBatch.from_records(records)
+
+
+def exact(batch: RecordBatch):
+    """Everything a batch carries, with values compared by ``repr`` so
+    ``1`` vs ``1.0`` and ``0.0`` vs ``-0.0`` count as different."""
+
+    def values(mapping):
+        return sorted((key, type(value).__name__, repr(value)) for key, value in mapping.items())
+
+    return (
+        batch.job_id,
+        batch.iteration,
+        batch.collective,
+        [
+            (r.leaf, r.tag, r.start_ns, r.end_ns, values(r.port_bytes), values(r.sender_bytes))
+            for r in batch.records
+        ],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=batches())
+def test_v1_and_v2_decode_the_same_batch(batch):
+    line = v1_batch_line(batch)
+    frame = encode_batch(batch)
+    assert exact(decode_batch(line)) == exact(batch)
+    assert exact(decode_batch(frame)) == exact(batch)
+    assert transcode_line(line) == ("b", frame)

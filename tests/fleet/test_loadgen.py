@@ -89,7 +89,7 @@ def test_invalid_config_rejected():
 
 def test_write_workload_round_trips():
     config = replace(SMALL_LOADGEN, n_jobs=3, n_iterations=2)
-    buffer = io.StringIO()
+    buffer = io.BytesIO()
     jobs, n_lines = write_workload(config, buffer)
     assert n_lines == 3 + 3 * 2
     buffer.seek(0)

@@ -10,13 +10,24 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.fleet import FPREC_VERSION_BINARY, FleetConfig, FleetService, reference_verdicts
+import pytest
+
+from repro.fleet import (
+    CodecError,
+    FleetConfig,
+    FleetService,
+    encode_batch,
+    encode_job,
+    reference_verdicts,
+)
 from repro.fleet.ha import (
     FleetNetServer,
     HAConfig,
     NetServerConfig,
     stream_workload,
 )
+
+from .legacy_v1 import v1_batch_line
 
 
 def ha_service(n_shards: int = 2, **config_overrides) -> FleetService:
@@ -26,9 +37,7 @@ def ha_service(n_shards: int = 2, **config_overrides) -> FleetService:
     )
 
 
-def serve_and_stream(
-    service, jobs, batches, *, version=1, connections=1, config=None
-):
+def serve_and_stream(service, jobs, batches, *, connections=1, config=None):
     """Run the server in this thread's event loop and the blocking
     client in a worker thread; returns (server, client_stats)."""
 
@@ -42,7 +51,6 @@ def serve_and_stream(
                 server.port,
                 jobs,
                 batches,
-                version=version,
                 connections=connections,
             )
         finally:
@@ -79,9 +87,7 @@ def test_tcp_ingest_many_connections_binary_wire_parity(small_workload):
     jobs, batches = small_workload
     service = ha_service()
     with service:
-        server, stats = serve_and_stream(
-            service, jobs, batches, version=FPREC_VERSION_BINARY, connections=4
-        )
+        server, stats = serve_and_stream(service, jobs, batches, connections=4)
     assert stats.connections == 4
     assert server.stats.connections_total == 4
     assert server.stats.connections_open == 0
@@ -161,22 +167,9 @@ def test_close_waits_for_inflight_connection(small_workload):
     assert_parity(service.result, jobs, batches)
 
 
-def test_truncated_stream_counts_as_protocol_error(small_workload):
-    """A connection that dies mid-frame is a protocol error, not a
-    crash, and what fully arrived is still processed."""
-    jobs, batches = small_workload
-    service = ha_service()
-    from repro.fleet import encode_batch, encode_job
-    from repro.fleet.codec import _stream_unit
-
-    payload = b"".join(
-        _stream_unit(encode_job(job, version=FPREC_VERSION_BINARY), text=False)
-        for job in jobs
-    )
-    frame = _stream_unit(
-        encode_batch(batches[0], version=FPREC_VERSION_BINARY), text=False
-    )
-    payload += frame[:-3]  # cut the final frame short
+def send_raw(service, payload: bytes) -> FleetNetServer:
+    """Write ``payload`` on one connection, hang up, and return the
+    server once it has finished with the connection."""
 
     async def _run():
         server = FleetNetServer(service)
@@ -197,8 +190,46 @@ def test_truncated_stream_counts_as_protocol_error(small_workload):
             await server.close()
         return server
 
+    return asyncio.run(_run())
+
+
+def test_truncated_stream_counts_as_protocol_error(small_workload):
+    """A connection that dies mid-frame is a protocol error, not a
+    crash, and what fully arrived is still processed."""
+    jobs, batches = small_workload
+    service = ha_service()
+    payload = b"".join(encode_job(job) for job in jobs)
+    payload += encode_batch(batches[0])[:-3]  # cut the final frame short
     with service:
-        server = asyncio.run(_run())
+        server = send_raw(service, payload)
     assert server.stats.jobs == len(jobs)
     assert server.stats.batches == 0
     assert server.stats.protocol_errors == 1
+
+
+@pytest.mark.parametrize("offset, value", [(6, b"\x01"), (28, bytes(4))])
+def test_malformed_frame_header_counts_as_protocol_error(small_workload, offset, value):
+    """A frame with reserved flags set or zero records is refused at the
+    edge: one protocol error, nothing submitted, nothing lost."""
+    jobs, batches = small_workload
+    service = ha_service()
+    frame = bytearray(encode_batch(batches[0]))
+    frame[offset : offset + len(value)] = value
+    payload = b"".join(encode_job(job) for job in jobs) + bytes(frame)
+    with service:
+        server = send_raw(service, payload)
+    assert server.stats.protocol_errors == 1
+    assert server.stats.batches == 0
+    result = service.result
+    assert result.submitted_batches == 0
+    assert result.errors == []
+    assert result.lost_records == 0
+    assert result.accounting_ok
+
+
+def test_stream_workload_rejects_v1_lines(small_workload):
+    """The client writes v2 frames only; a v1 line is refused before any
+    connection is opened."""
+    jobs, batches = small_workload
+    with pytest.raises(CodecError, match="v1 lines are decoded at the edge"):
+        stream_workload("127.0.0.1", 9, jobs, [v1_batch_line(batches[0])])

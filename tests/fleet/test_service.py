@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
+import io
 import os
 import signal
 
 import pytest
 
 from repro.fleet import (
+    CodecError,
     FleetConfig,
     FleetError,
     FleetService,
+    StreamDecoder,
+    UnsupportedVersionError,
     encode_batch,
+    read_fprec,
     reference_verdicts,
     serve_workload,
 )
 from repro.fleet.ha import HAConfig
+
+from .legacy_v1 import v1_batch_line
 
 #: Both service modes, for the tests that must hold in each: the plain
 #: service (no journal, no heartbeats) and the HA service with failure
@@ -35,25 +42,30 @@ def metric(result, name, label=None):
     return total
 
 
+def v1_capture(batches) -> bytes:
+    """The batches as an old v1 ``.fprec`` capture stream."""
+    return b"".join(v1_batch_line(batch).encode() + b"\n" for batch in batches)
+
+
 # ----------------------------------------------------------------------
 # Golden parity: the non-negotiable
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("wire_version", [1, 2])
+@pytest.mark.parametrize("capture_version", [1, 2])
 @pytest.mark.parametrize("n_shards", [1, 2, 3])
-def test_golden_parity_across_shard_counts(small_workload, n_shards, wire_version):
+def test_golden_parity_across_shard_counts(small_workload, n_shards, capture_version):
     """Streaming through the service yields bit-identical verdict
     sequences to a direct single-process monitor feed — at every shard
-    count and both wire versions."""
+    count, for fresh batches and for batches read back from an old v1
+    capture."""
     jobs, batches = small_workload
     reference = reference_verdicts(jobs, batches)
+    if capture_version == 1:
+        served = read_fprec(io.BytesIO(v1_capture(batches))).batches
+    else:
+        served = batches
     for ha in SERVICE_MODES:
         result = serve_workload(
-            jobs,
-            batches,
-            FleetConfig(
-                n_shards=n_shards, return_verdicts=True, wire_version=wire_version
-            ),
-            ha=ha,
+            jobs, served, FleetConfig(n_shards=n_shards, return_verdicts=True), ha=ha
         )
         assert result.errors == []
         for job in jobs:
@@ -78,13 +90,19 @@ def test_golden_parity_with_tiny_queue(small_workload):
         assert result.verdicts_for(job.job_id) == reference[job.job_id]
 
 
-@pytest.mark.parametrize("wire_version", [1, 2])
-def test_parity_with_pre_encoded_units(small_workload, wire_version):
-    """The encode -> peek -> route -> decode path is lossless for JSON
-    lines and binary frames alike."""
+@pytest.mark.parametrize("capture_version", [1, 2])
+def test_parity_with_pre_encoded_units(small_workload, capture_version):
+    """The encode -> peek -> route -> decode path is lossless for v2
+    frames, written directly or converted at the edge from v1 lines."""
     jobs, batches = small_workload
     reference = reference_verdicts(jobs, batches)
-    units = [encode_batch(batch, version=wire_version) for batch in batches]
+    if capture_version == 1:
+        decoder = StreamDecoder(raw=True)
+        units = [frame for _kind, frame in decoder.feed(v1_capture(batches))]
+        assert decoder.finish() == []
+    else:
+        units = [encode_batch(batch) for batch in batches]
+    assert all(isinstance(unit, bytes) for unit in units)
     result = serve_workload(
         jobs, units, FleetConfig(n_shards=2, return_verdicts=True)
     )
@@ -100,15 +118,16 @@ def test_parity_with_coalescing_disabled(small_workload):
     result = serve_workload(
         jobs,
         batches,
-        FleetConfig(n_shards=2, return_verdicts=True, wire_version=2, coalesce=1),
+        FleetConfig(n_shards=2, return_verdicts=True, coalesce=1),
     )
     for job in jobs:
         assert result.verdicts_for(job.job_id) == reference[job.job_id]
 
 
 def test_config_rejects_bad_wire_version_and_coalesce():
-    with pytest.raises(FleetError, match="wire version"):
-        FleetConfig(wire_version=3)
+    for version in (1, 3):
+        with pytest.raises(UnsupportedVersionError, match="v1 is decode-only"):
+            FleetConfig(wire_version=version)
     with pytest.raises(FleetError, match="coalesce"):
         FleetConfig(coalesce=0)
 
@@ -261,14 +280,17 @@ def test_unknown_job_batches_counted_not_fatal(small_workload):
 
 def test_malformed_line_reported_not_fatal(small_workload):
     jobs, batches = small_workload
+    frame = bytearray(encode_batch(batches[0]))
+    # A valid header over corrupt columns (an unknown value flag): only
+    # the full decode in the worker can tell, so it must fail there, be
+    # reported, and not take the shard down.
+    frame[-1] = 0x7F
     service = FleetService(FleetConfig(n_shards=1))
     with service:
         for job in jobs:
             service.submit_job(job)
-        # declares two records but carries none: decodes must fail in the
-        # worker, be reported, and not take the shard down
-        service.submit_encoded('["fprec",1,"b",%d,2,0,"allreduce",[]]' % jobs[0].job_id)
-        for batch in batches[:3]:
+        service.submit_encoded(bytes(frame))
+        for batch in batches[1:4]:
             service.submit(batch)
     result = service.result
     assert result.processed_batches == 3  # the good ones still flowed
@@ -317,3 +339,58 @@ def test_blocking_submit_to_dead_full_shard_raises(small_workload):
                 service.submit(batch)
     finally:
         service._abort()
+
+
+def test_submit_encoded_rejects_v1_lines(small_workload):
+    """Past the edge the fleet carries v2 frames only: a v1 line is
+    refused at submit, before anything is journaled or counted."""
+    jobs, batches = small_workload
+    service = FleetService(
+        FleetConfig(n_shards=1), ha=HAConfig(heartbeat_every=None, auto_failover=False)
+    )
+    with service:
+        for job in jobs:
+            service.submit_job(job)
+        for submit in (service.submit_encoded, service.try_submit_encoded):
+            with pytest.raises(CodecError, match="v1 lines are decoded at the edge"):
+                submit(v1_batch_line(batches[0]))
+        with pytest.raises(CodecError):
+            service.journal.append(0, v1_batch_line(batches[0]))
+    result = service.result
+    assert result.submitted_batches == 0
+    assert result.lost_records == 0
+    assert result.accounting_ok
+    with pytest.raises(CodecError):
+        serve_workload(jobs, [v1_batch_line(batches[0])], FleetConfig(n_shards=1))
+
+
+def _doctored_headers(frame: bytes) -> dict[str, bytes]:
+    flags = bytearray(frame)
+    flags[6] = 1  # reserved flags must be zero
+    empty = bytearray(frame)
+    empty[28:32] = bytes(4)  # n_records must be positive
+    return {"reserved frame flags": bytes(flags), "empty": bytes(empty)}
+
+
+@pytest.mark.parametrize("defect", ["reserved frame flags", "empty"])
+def test_malformed_frame_header_rejected_at_ingest(small_workload, defect):
+    """The ingest peek checks every header field the worker's decode
+    does, so a bad header is refused at submit instead of being counted
+    and then lost in the worker."""
+    jobs, batches = small_workload
+    bad = _doctored_headers(encode_batch(batches[0]))[defect]
+    service = FleetService(FleetConfig(n_shards=1))
+    with service:
+        for job in jobs:
+            service.submit_job(job)
+        with pytest.raises(CodecError, match=defect):
+            service.submit_encoded(bad)
+        assert service.try_submit_encoded(encode_batch(batches[0]))
+        with pytest.raises(CodecError, match=defect):
+            service.try_submit_encoded(bad)
+    result = service.result
+    assert result.errors == []
+    assert result.submitted_batches == 1
+    assert result.processed_batches == 1
+    assert result.lost_records == 0
+    assert result.accounting_ok

@@ -4,7 +4,8 @@ The contract: for *any* split of a valid wire stream into chunks —
 including one byte at a time, mid-header, mid-length-prefix, and
 mid-UTF-8-character — ``feed``/``finish`` yield exactly the same unit
 sequence as decoding the whole stream at once, in both decoded and raw
-modes, with v1 lines and v2 frames interleaved freely.
+modes, with v1 lines and v2 frames interleaved freely.  Raw mode is
+the edge where v1 ends: it yields every unit as a v2 frame.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import (
-    FPREC_VERSION_BINARY,
     CodecError,
     RecordBatch,
     StreamDecoder,
@@ -22,8 +22,8 @@ from repro.fleet import (
     encode_batch,
     encode_job,
 )
-from repro.fleet.codec import _stream_unit
 
+from .legacy_v1 import v1_batch_line, v1_job_line
 from .test_codec import job_config, make_batch
 
 
@@ -32,19 +32,23 @@ def mixed_units() -> list[str | bytes]:
     versions, on one stream."""
     units: list[str | bytes] = []
     for index in range(4):
-        version = FPREC_VERSION_BINARY if index % 2 else 1
-        units.append(encode_job(job_config(job_id=10 + index), version=version))
-        units.append(
-            encode_batch(
-                make_batch(n_leaves=3, job_id=10 + index, iteration=index),
-                version=version,
-            )
-        )
+        job = job_config(job_id=10 + index)
+        batch = make_batch(n_leaves=3, job_id=10 + index, iteration=index)
+        if index % 2:
+            units += [encode_job(job), encode_batch(batch)]
+        else:
+            units += [v1_job_line(job), v1_batch_line(batch)]
     return units
 
 
+def stream_unit(unit: str | bytes) -> bytes:
+    """A unit as it sits on a stream: v1 lines end at a newline, v2
+    frames are self-delimiting."""
+    return unit.encode() + b"\n" if isinstance(unit, str) else unit
+
+
 def wire_bytes(units) -> bytes:
-    return b"".join(_stream_unit(unit, text=False) for unit in units)
+    return b"".join(stream_unit(unit) for unit in units)
 
 
 def drain(decoder: StreamDecoder, stream: bytes, chunk_size: int) -> list:
@@ -84,14 +88,16 @@ def test_fixed_chunk_sizes_match_whole_stream(chunk_size):
 
 
 def test_byte_at_a_time_raw_mode_round_trips_exact_wire_forms():
-    """Raw mode must hand back the exact encoded units (v1 lines
-    without their newline, v2 frames byte-identical)."""
+    """Raw mode must hand back v2 frames only: v2 units byte-identical,
+    v1 lines as the frame encoding their decoded object would give."""
     units = mixed_units()
     stream = wire_bytes(units)
     got = drain(StreamDecoder(raw=True), stream, 1)
     assert [kind for kind, _ in got] == ["j", "b"] * 4
     for (kind, raw), original in zip(got, units):
-        assert raw == original
+        assert isinstance(raw, bytes)
+        _kind, decoded = decode_line(original)
+        assert raw == (encode_batch(decoded) if kind == "b" else encode_job(decoded))
         assert decode_line(raw) == decode_line(original)
 
 
@@ -122,7 +128,7 @@ def test_random_chunking_property(chunks):
 # Stream-edge behaviour
 # ----------------------------------------------------------------------
 def test_final_unterminated_line_is_flushed_by_finish():
-    line = encode_batch(make_batch(n_leaves=2))
+    line = v1_batch_line(make_batch(n_leaves=2))
     decoder = StreamDecoder()
     assert decoder.feed(line.encode()) == []  # no newline yet
     (kind, batch), = decoder.finish()
@@ -131,9 +137,7 @@ def test_final_unterminated_line_is_flushed_by_finish():
 
 
 def test_truncated_binary_frame_at_end_raises():
-    frame = encode_batch(
-        make_batch(n_leaves=3), version=FPREC_VERSION_BINARY
-    )
+    frame = encode_batch(make_batch(n_leaves=3))
     decoder = StreamDecoder()
     assert decoder.feed(frame[:-1]) == []
     with pytest.raises(CodecError):
@@ -142,7 +146,7 @@ def test_truncated_binary_frame_at_end_raises():
 
 def test_interleaved_whitespace_and_blank_lines_are_skipped():
     units = mixed_units()
-    stream = b"\n\n  \r\n".join(_stream_unit(u, text=False) for u in units)
+    stream = b"\n\n  \r\n".join(stream_unit(u) for u in units)
     assert drain(StreamDecoder(), stream, 13) == reference_units(units)
 
 
@@ -160,9 +164,7 @@ def test_lifetime_counters_track_units_and_bytes():
 # Buffer bounding
 # ----------------------------------------------------------------------
 def test_oversized_frame_declaration_fails_fast():
-    frame = bytearray(
-        encode_batch(make_batch(n_leaves=3), version=FPREC_VERSION_BINARY)
-    )
+    frame = bytearray(encode_batch(make_batch(n_leaves=3)))
     frame[8:12] = (2**31).to_bytes(4, "little")  # lie about the length
     decoder = StreamDecoder(max_buffer=1 << 16)
     with pytest.raises(CodecError, match="buffer cap"):
@@ -193,3 +195,14 @@ def test_malformed_json_line_raises_codec_error():
     decoder = StreamDecoder()
     with pytest.raises(CodecError):
         decoder.feed(b'["fprec",1,"b",oops\n')
+
+
+def test_raw_mode_rejects_malformed_v1_line_at_the_edge():
+    """Raw mode fully decodes each v1 line to build its frame, so a line
+    a worker could not score fails here, as one CodecError."""
+    for line in (
+        b'["fprec",1,"b",4,2,0,"allreduce",[]]\n',  # declares 2, carries 0
+        b'["fprec",1,"b",4,0,0,"allreduce",[]]\n',  # an empty batch
+    ):
+        with pytest.raises(CodecError):
+            StreamDecoder(raw=True).feed(line)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.fleet import BINARY_MAGIC, iter_fprec
 
 SMALL = [
     "--leaves", "8",
@@ -331,9 +332,9 @@ def test_fleet_loadgen_writes_fprec(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "faulted jobs:" in out
-    lines = path.read_text().splitlines()
-    assert len(lines) == 4 + 4 * 5  # job configs then batches
-    assert all(line.startswith('["fprec",1,') for line in lines)
+    assert path.read_bytes().startswith(BINARY_MAGIC)  # v2 frames
+    kinds = [kind for kind, _unit in iter_fprec(path)]
+    assert kinds == ["j"] * 4 + ["b"] * 4 * 5  # job configs then batches
 
 
 def test_fleet_serve_detects_and_validates(workload_path, capsys):
