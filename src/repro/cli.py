@@ -974,7 +974,8 @@ def _fleet_serve_listen(args: argparse.Namespace) -> int:
         print(
             "record accounting broken: "
             f"processed {result.processed_unique_records} + shed "
-            f"{result.shed_unique_records} != submitted "
+            f"{result.shed_unique_records} + rejected "
+            f"{result.rejected_unique_records} != submitted "
             f"{result.submitted_records} (lost {result.lost_records})",
             file=sys.stderr,
         )

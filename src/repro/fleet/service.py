@@ -155,15 +155,20 @@ class FleetResult:
     fenced_messages: int = 0
     processed_unique_records: int = 0
     shed_unique_records: int = 0
+    #: Records of units a worker rejected (undecodable columns, or a
+    #: failed block score); each such unit is also in ``errors``.
+    rejected_unique_records: int = 0
     lost_records: int = 0
 
     @property
     def accounting_ok(self) -> bool:
         """The cross-epoch conservation law: every submitted record was
-        either processed (once) or shed (once), none lost."""
+        processed, shed or rejected (once), none lost."""
         return (
             self.lost_records == 0
-            and self.processed_unique_records + self.shed_unique_records
+            and self.processed_unique_records
+            + self.shed_unique_records
+            + self.rejected_unique_records
             == self.submitted_records
         )
 
@@ -305,6 +310,7 @@ class FleetService:
         self.fenced_messages = 0
         self._processed_unique = 0
         self._shed_unique = 0
+        self._rejected_unique = 0
         self._seen: dict[int, set[int]] = {}
         self._inflight: dict[tuple[int, int], int] = {}
         self._closing = False
@@ -652,7 +658,15 @@ class FleetService:
                 if epoch != self.epoch:
                     self.registry.counter("ha.stale_heartbeats").inc()
         elif kind == "error":
-            self.errors.append(f"shard {message[1]}: {message[2]}")
+            _kind, shard, detail, units = message
+            self.errors.append(f"shard {shard}: {detail}")
+            # A fenced shard's units were replayed to the new owner,
+            # which settles them itself.
+            if units and not self._fenced(shard):
+                for job_id, iteration in units:
+                    settled = self._inflight.pop((job_id, iteration), None)
+                    if settled is not None:
+                        self._rejected_unique += settled
         elif kind == "metrics":
             self._worker_snapshots.append(message[2])
         elif kind == "done":
@@ -890,6 +904,7 @@ class FleetService:
             fenced_messages=self.fenced_messages,
             processed_unique_records=self._processed_unique,
             shed_unique_records=self._shed_unique,
+            rejected_unique_records=self._rejected_unique,
             lost_records=sum(self._inflight.values()),
         )
         if self.telemetry is not None:

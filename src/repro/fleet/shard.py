@@ -36,7 +36,7 @@ from ..analysis.experiments import build_trial, make_predictor
 from ..core.detection import DetectionConfig
 from ..core.monitor import FlowPulseMonitor
 from ..telemetry.registry import MetricsRegistry
-from .codec import CodecError, JobConfig, decode_batch_segment
+from .codec import CodecError, JobConfig, decode_batch_segment, peek_batch_tag
 
 
 class FleetError(RuntimeError):
@@ -193,8 +193,13 @@ def shard_worker(
     - ``("heartbeat", shard, epoch, seq, wall_time)`` — liveness beacon,
       sent at least every ``heartbeat_every`` seconds (idle wake-ups
       included) when the interval is configured.
-    - ``("error", shard, detail)`` — a message that failed to process
-      (the worker keeps going; errors are counted, never fatal).
+    - ``("error", shard, detail, units)`` — a message that failed to
+      process (the worker keeps going; errors are counted, never
+      fatal).  ``units`` lists the ``(job_id, iteration)`` of every
+      batch the failure rejected — one for a unit that did not decode
+      (read off its header, which already passed at ingest), the whole
+      group for a failed block score — so the parent can settle their
+      ledger entries instead of counting them lost.
     - ``("metrics", shard, snapshot)`` then ``("done", shard)`` on stop.
     """
     if coalesce < 1:
@@ -231,9 +236,18 @@ def shard_worker(
     beat_seq = 0
     last_beat = time.time()
 
-    def report_error(exc: Exception) -> None:
+    def report_error(exc: Exception, units: list[tuple[int, int]]) -> None:
         errors_c.inc()
-        outbox.send(("error", shard_id, f"{type(exc).__name__}: {exc}"))
+        outbox.send(("error", shard_id, f"{type(exc).__name__}: {exc}", units))
+
+    def unit_tag(unit: bytes) -> list[tuple[int, int]]:
+        """``[(job_id, iteration)]`` of an undecodable unit, or ``[]``
+        if even its header is unreadable."""
+        try:
+            job_id, _n_records, iteration = peek_batch_tag(unit)
+        except (CodecError, RuntimeError, ValueError):
+            return []
+        return [(job_id, iteration)]
 
     def beat(force: bool = False) -> None:
         nonlocal beat_seq, last_beat
@@ -264,7 +278,7 @@ def shard_worker(
                 # materialization.
                 segment = decode_batch_segment(unit)
             except (CodecError, RuntimeError, ValueError) as exc:
-                report_error(exc)
+                report_error(exc, unit_tag(unit))
                 continue
             groups.setdefault(segment.job_id, []).append(segment)
             metas.setdefault(segment.job_id, []).append(
@@ -279,7 +293,7 @@ def shard_worker(
             try:
                 verdicts = monitor.process_block(entries)
             except (FleetError, RuntimeError, ValueError) as exc:
-                report_error(exc)
+                report_error(exc, [(job_id, seg.iteration) for seg in entries])
                 continue
             per_batch_s = (time.perf_counter() - started) / len(entries)
             now = time.time()
@@ -349,7 +363,7 @@ def shard_worker(
                 else:
                     raise FleetError(f"unknown shard message kind {kind!r}")
             except (CodecError, FleetError, RuntimeError, ValueError) as exc:
-                report_error(exc)
+                report_error(exc, [])
         flush(pending)
         beat()
     outbox.send(("metrics", shard_id, registry.snapshot()))

@@ -8,9 +8,8 @@ explicitly seeded generators, so a run is a pure function of its seed.
 
 from __future__ import annotations
 
-import heapq
 import time
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 
@@ -18,17 +17,27 @@ class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
 
 
-@dataclass(frozen=True)
 class EventHandle:
     """Opaque handle returned by :meth:`Simulator.schedule`.
 
     Holds enough state to cancel the event later.  Handles are one-shot:
-    cancelling an already-fired event is a harmless no-op.
+    cancelling an already-fired event is a harmless no-op.  A handle is
+    a thin view over the heap entry ``[time, seq, callback, args]``;
+    handles compare and hash by ``(time, seq)``.
     """
 
-    time: int
-    seq: int
-    _entry: list = field(repr=False, compare=False)
+    __slots__ = ("_entry",)
+
+    def __init__(self, entry: list) -> None:
+        self._entry = entry
+
+    @property
+    def time(self) -> int:
+        return self._entry[0]
+
+    @property
+    def seq(self) -> int:
+        return self._entry[1]
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
@@ -37,6 +46,17 @@ class EventHandle:
     @property
     def cancelled(self) -> bool:
         return self._entry[2] is None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventHandle):
+            return NotImplemented
+        return self._entry[:2] == other._entry[:2]
+
+    def __hash__(self) -> int:
+        return hash((self._entry[0], self._entry[1]))
+
+    def __repr__(self) -> str:
+        return f"EventHandle(time={self.time}, seq={self.seq})"
 
 
 class Simulator:
@@ -69,7 +89,12 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, *args)
+        # Same entry as schedule_at(now + delay, ...), without the second
+        # call and its re-check: a non-negative delay cannot reach the past.
+        entry = [self.now + delay, self._seq, callback, args]
+        self._seq += 1
+        heappush(self._queue, entry)
+        return EventHandle(entry)
 
     def schedule_at(self, time: int, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute time ``time`` ns."""
@@ -79,8 +104,8 @@ class Simulator:
             )
         entry = [time, self._seq, callback, args]
         self._seq += 1
-        heapq.heappush(self._queue, entry)
-        return EventHandle(time=time, seq=entry[1], _entry=entry)
+        heappush(self._queue, entry)
+        return EventHandle(entry)
 
     # ------------------------------------------------------------------
     # Execution
@@ -88,7 +113,7 @@ class Simulator:
     def step(self) -> bool:
         """Run the next pending event.  Returns False when idle."""
         while self._queue:
-            time, _seq, callback, args = heapq.heappop(self._queue)
+            time, _seq, callback, args = heappop(self._queue)
             if callback is None:  # lazily-cancelled event
                 continue
             if time < self.now:
@@ -111,17 +136,28 @@ class Simulator:
         executed = 0
         started_wall = time.perf_counter() if self.telemetry is not None else 0.0
         started_now = self.now
+        queue = self._queue
         try:
-            while not self._stopped:
-                next_time = self.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
+            # The body of peek_time() + step() inlined: the same checks in
+            # the same order, one heap pop per event.
+            while not self._stopped and queue:
+                entry = queue[0]
+                callback = entry[2]
+                if callback is None:  # lazily-cancelled event
+                    heappop(queue)
+                    continue
+                event_time = entry[0]
+                if until is not None and event_time > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
-                if self.step():
-                    executed += 1
+                heappop(queue)
+                if event_time < self.now:
+                    raise SimulationError("event queue went backwards in time")
+                self.now = event_time
+                self.events_executed += 1
+                callback(*entry[3])
+                executed += 1
             # Fast-forward the clock to `until` only when the queue is
             # actually drained up to it: if the run stopped early (via
             # stop() or max_events) with events still pending at or
@@ -160,5 +196,5 @@ class Simulator:
     def peek_time(self) -> int | None:
         """Time of the next pending event, or None if the queue is idle."""
         while self._queue and self._queue[0][2] is None:
-            heapq.heappop(self._queue)  # discard lazily-cancelled events
+            heappop(self._queue)  # discard lazily-cancelled events
         return self._queue[0][0] if self._queue else None

@@ -61,7 +61,10 @@ class Link:
         self.sim = sim
         self.name = name
         self.dst = dst
-        self.rate_bps = rate_bps
+        self._rate_bps = rate_bps
+        #: Serialization time per packet size; valid because the rate is
+        #: fixed for the life of the link.
+        self._tx_time_ns: dict[int, int] = {}
         self.prop_delay_ns = prop_delay_ns
         self.rng = rng
         self.injector = injector
@@ -119,11 +122,14 @@ class Link:
     def _try_transmit(self) -> None:
         if self._busy:
             return
-        packet = self.queue.pop(skip_priorities=self._paused)
+        packet = self.queue.pop(self._paused)
         if packet is None:
             return
         self._busy = True
-        tx_time = transmission_time_ns(packet.size, self.rate_bps)
+        tx_time = self._tx_time_ns.get(packet.size)
+        if tx_time is None:
+            tx_time = transmission_time_ns(packet.size, self._rate_bps)
+            self._tx_time_ns[packet.size] = tx_time
         self.sim.schedule(tx_time, self._tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:
@@ -176,6 +182,12 @@ class Link:
         """PFC resume: allow ``priority`` to transmit again."""
         self._paused.discard(priority)
         self._try_transmit()
+
+    @property
+    def rate_bps(self) -> int:
+        """Line rate in bits per second (fixed: serialization times are
+        memoized per packet size)."""
+        return self._rate_bps
 
     @property
     def paused_priorities(self) -> frozenset[Priority]:

@@ -27,7 +27,7 @@ from .host import Host
 from .link import Link
 from .pfc import PfcConfig, PfcController
 from .spraying import SprayPolicy, make_policy
-from .switch import LeafSwitch, SpineSwitch
+from .switch import HostLeafTable, LeafSwitch, SpineSwitch
 from .trace import Tracer
 from .transport import GiveupPolicy, ReliableTransport
 from ..units import DEFAULT_MTU, MICROSECOND
@@ -104,13 +104,17 @@ class Network:
         policy = make_policy(spray) if isinstance(spray, str) else spray
 
         # Nodes.
-        self.spines = [SpineSwitch(s, self.control) for s in range(spec.n_spines)]
+        host_leaf = HostLeafTable(spec)
+        self.spines = [
+            SpineSwitch(s, self.control, host_leaf) for s in range(spec.n_spines)
+        ]
         self.leaves = [
             LeafSwitch(
                 leaf,
                 self.control,
                 policy,
                 np.random.Generator(np.random.PCG64(leaf_seeds[leaf])),
+                host_leaf,
             )
             for leaf in range(spec.n_leaves)
         ]

@@ -22,6 +22,9 @@ class PacketKind(Enum):
     PAUSE = "pause"
     RESUME = "resume"
 
+    # Identity hash (see Priority.__hash__).
+    __hash__ = object.__hash__
+
 
 class Priority(Enum):
     """Traffic priority classes (paper §5.1: the measured collective is
@@ -36,6 +39,15 @@ class Priority(Enum):
         if not isinstance(other, Priority):
             return NotImplemented
         return self.value < other.value
+
+    # Enum's own __hash__ is a Python-level hash(self._name_), and the
+    # simnet data path hashes a priority several times per packet (queue
+    # lanes, PFC pause sets).  Members are singletons and equality is
+    # identity, so the C-level identity hash is equivalent.  Nothing may
+    # order by it: like the name hash it replaces, it varies from one
+    # process to the next, and queues drain in an explicit priority
+    # order (repro.simnet.queues), never in set or dict-hash order.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True, order=True)

@@ -9,7 +9,7 @@ exerted through PFC (see :mod:`repro.simnet.pfc`).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable
+from typing import Callable, Collection
 
 from .packet import Packet, PacketKind, Priority
 
@@ -44,7 +44,9 @@ class PriorityByteQueue:
         self.capacity_bytes = capacity_bytes
         self.on_backlog_change = on_backlog_change
         self.ecn_threshold_bytes = ecn_threshold_bytes
-        self._lanes: dict[Priority, deque[Packet]] = {p: deque() for p in Priority}
+        #: (priority, lane) pairs in drain order, walked by pop().
+        self._drain = [(p, deque()) for p in _DRAIN_ORDER]
+        self._lanes: dict[Priority, deque[Packet]] = dict(self._drain)
         self._bytes = 0
         self._packets = 0
         self.peak_bytes = 0
@@ -53,46 +55,47 @@ class PriorityByteQueue:
     # ------------------------------------------------------------------
     def push(self, packet: Packet) -> bool:
         """Enqueue; returns False if the queue is at capacity."""
-        if (
-            self.capacity_bytes is not None
-            and self._bytes + packet.size > self.capacity_bytes
-        ):
+        size = packet.size
+        backlog = self._bytes + size
+        if self.capacity_bytes is not None and backlog > self.capacity_bytes:
             return False
         self._lanes[packet.priority].append(packet)
-        self._bytes += packet.size
+        self._bytes = backlog
         self._packets += 1
-        self.peak_bytes = max(self.peak_bytes, self._bytes)
+        if backlog > self.peak_bytes:
+            self.peak_bytes = backlog
         if (
             self.ecn_threshold_bytes is not None
-            and self._bytes >= self.ecn_threshold_bytes
+            and backlog >= self.ecn_threshold_bytes
             and packet.kind is PacketKind.DATA
             and not packet.ecn
         ):
             packet.ecn = True
             self.ecn_marked += 1
-        self._notify()
+        if self.on_backlog_change is not None:
+            self.on_backlog_change(backlog)
         return True
 
-    def pop(self, skip_priorities: Iterable[Priority] = ()) -> Packet | None:
-        """Dequeue the head packet of the highest non-skipped priority."""
-        skipped = set(skip_priorities)
-        for priority in _DRAIN_ORDER:
-            if priority in skipped:
-                continue
-            lane = self._lanes[priority]
-            if lane:
+    def pop(self, skip_priorities: Collection[Priority] = ()) -> Packet | None:
+        """Dequeue the head packet of the highest non-skipped priority.
+
+        ``skip_priorities`` is only tested for membership, so a link can
+        pass its live set of PFC-paused priorities without a copy.
+        """
+        for priority, lane in self._drain:
+            if lane and priority not in skip_priorities:
                 packet = lane.popleft()
                 self._bytes -= packet.size
                 self._packets -= 1
-                self._notify()
+                if self.on_backlog_change is not None:
+                    self.on_backlog_change(self._bytes)
                 return packet
         return None
 
-    def peek_priority(self, skip_priorities: Iterable[Priority] = ()) -> Priority | None:
+    def peek_priority(self, skip_priorities: Collection[Priority] = ()) -> Priority | None:
         """Priority of the packet :meth:`pop` would return, or None."""
-        skipped = set(skip_priorities)
-        for priority in _DRAIN_ORDER:
-            if priority not in skipped and self._lanes[priority]:
+        for priority, lane in self._drain:
+            if lane and priority not in skip_priorities:
                 return priority
         return None
 
@@ -106,7 +109,3 @@ class PriorityByteQueue:
 
     def __bool__(self) -> bool:
         return self._packets > 0
-
-    def _notify(self) -> None:
-        if self.on_backlog_change is not None:
-            self.on_backlog_change(self._bytes)

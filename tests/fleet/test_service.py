@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import os
 import signal
@@ -13,6 +14,7 @@ from repro.fleet import (
     FleetConfig,
     FleetError,
     FleetService,
+    JobConfig,
     StreamDecoder,
     UnsupportedVersionError,
     encode_batch,
@@ -296,6 +298,37 @@ def test_malformed_line_reported_not_fatal(small_workload):
     assert result.processed_batches == 3  # the good ones still flowed
     assert len(result.errors) == 1
     assert metric(result, "fleet.worker_errors") == 1
+    # The rejected unit is settled, not lost: the ledger still balances.
+    assert result.lost_records == 0
+    assert result.accounting_ok
+    assert result.rejected_unique_records == batches[0].n_records
+
+
+def test_failing_job_registration_reported_not_fatal(small_workload):
+    """A job whose monitor cannot be built fails inside the worker's
+    control-message handling: it is reported, and the shard keeps
+    serving the other jobs through to a clean shutdown."""
+    jobs, batches = small_workload
+    broken = dataclasses.replace(
+        jobs[0].experiment, job_id=max(job.job_id for job in jobs) + 1
+    )
+    # Past validation on purpose: only the worker's monitor build sees it.
+    object.__setattr__(broken, "n_spines", 0)
+    service = FleetService(FleetConfig(n_shards=1))
+    with service:
+        service.submit_job(JobConfig(job_id=broken.job_id, experiment=broken))
+        for job in jobs:
+            service.submit_job(job)
+        for batch in batches:
+            service.submit(batch)
+    result = service.result
+    assert len(result.errors) == 1
+    assert "need at least one spine" in result.errors[0]
+    assert metric(result, "fleet.worker_errors") == 1
+    assert metric(result, "fleet.jobs") == len(jobs)
+    assert result.processed_batches == len(batches)
+    assert result.lost_records == 0
+    assert result.accounting_ok
 
 
 def test_submit_before_start_raises(small_workload):

@@ -8,12 +8,13 @@ import pytest
 
 from repro.scenarios import (
     ChaosConfig,
+    SimnetClosedLoopDriver,
     check_invariants,
     generate_scenario,
     run_chaos_batch,
     run_scenario,
 )
-from repro.scenarios.chaos import KINDS
+from repro.scenarios.chaos import ALL_KINDS, KINDS, outcome_digest
 
 CHAOS = ChaosConfig()
 
@@ -66,8 +67,6 @@ def test_invariant_checker_flags_missed_detection():
 
 
 def test_invariant_checker_flags_conservation_breach():
-    from repro.scenarios import SimnetClosedLoopDriver
-
     scenario = generate_scenario(2, CHAOS)  # healthy, cheap
     driver = SimnetClosedLoopDriver(scenario.config)
     result = driver.run()
@@ -189,3 +188,40 @@ def test_congested_healthy_batch_never_alarms():
             outcome = run_scenario(generate_scenario(seed, config), config)
             assert outcome.ok, (spray, seed, outcome.violations)
             assert outcome.result.detection_iteration is None, (spray, seed)
+
+
+# ----------------------------------------------------------------------
+# Pins for the scenarios the chaos-simnet benchmark leaves out
+# ----------------------------------------------------------------------
+#: The benchmark's scenario set (``perfbench/workload_chaos.py``).
+SIMNET_BENCH = ChaosConfig(
+    kinds=ALL_KINDS, fabric=(4, 3), collective_bytes=375_000
+)
+#: Outcome digest and executed events of the two-background-job
+#: cotenant seeds.  Both draw the same fault-free round-robin fabric,
+#: which consumes no randomness, so they pin the same run.
+COTENANT_PINS = {
+    9: (
+        "341691b8aa47d60026f6be51fcd7d182429c0bff3a326cba1649de5f6a5dfe49",
+        424_056,
+    ),
+    11: (
+        "341691b8aa47d60026f6be51fcd7d182429c0bff3a326cba1649de5f6a5dfe49",
+        424_056,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(COTENANT_PINS))
+def test_cotenant_bench_seeds_stay_bit_identical(seed):
+    scenario = generate_scenario(seed, SIMNET_BENCH)
+    assert scenario.kind == "cotenant"
+    driver = SimnetClosedLoopDriver(
+        scenario.config, iteration_faults=scenario.iteration_faults
+    )
+    result = driver.run()
+    assert check_invariants(scenario, result, driver, SIMNET_BENCH) == []
+    assert (
+        outcome_digest(result),
+        driver.network.sim.events_executed,
+    ) == COTENANT_PINS[seed]

@@ -161,11 +161,47 @@ GOLDEN_DIGESTS = {
 }
 
 
+#: Events the engine executes for every golden run: a healthy fabric
+#: gives every packet the same hop count whatever the spray policy, so
+#: the pins agree; a change that adds, drops or fuses events moves it.
+GOLDEN_EVENTS = 112_916
+
+
+def _golden_run(**overrides) -> tuple[str, int]:
+    driver = SimnetClosedLoopDriver(
+        SimnetClosedLoopConfig(**overrides, **GOLDEN_CONFIG)
+    )
+    result = driver.run()
+    return outcome_digest(result), driver.network.sim.events_executed
+
+
 @pytest.mark.parametrize("spray", sorted(GOLDEN_DIGESTS))
 def test_ecn_off_runs_stay_bit_identical(spray):
-    config = SimnetClosedLoopConfig(spray=spray, **GOLDEN_CONFIG)
-    result = run_simnet_closed_loop(config)
-    assert outcome_digest(result) == GOLDEN_DIGESTS[spray]
+    assert _golden_run(spray=spray) == (GOLDEN_DIGESTS[spray], GOLDEN_EVENTS)
+
+
+#: Pins for the simnet paths the digests above leave uncovered: the two
+#: remaining spray policies and the ECN + DCQCN congestion loop.
+OTHER_GOLDEN_RUNS = {
+    "po2": (
+        dict(spray="po2"),
+        "12f3040f7e478e144772a4c5ed3736b2c5a2ea16033bfaf7d95534e10de1e524",
+    ),
+    "flowlet": (
+        dict(spray="flowlet"),
+        "d7c4076e6f7b40c69ffde8f05c19a521e6132cc8d609eee2b6150ba219a2dc13",
+    ),
+    "ecn_dcqcn": (
+        dict(ecn_threshold_bytes=4096, congestion=CongestionConfig()),
+        "2280d5f38733af4d049831c8a8a43b3d185c733adbf5289a8d1d7302c475472d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_GOLDEN_RUNS))
+def test_other_simnet_paths_stay_bit_identical(name):
+    overrides, digest = OTHER_GOLDEN_RUNS[name]
+    assert _golden_run(**overrides) == (digest, GOLDEN_EVENTS)
 
 
 def test_ecn_enabled_marks_and_still_completes():

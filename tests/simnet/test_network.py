@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simnet import DisconnectFault, DropFault, Network
-from repro.topology import ClosSpec, down_link, host_up_link, up_link
+from repro.collectives import StagedCollectiveRunner
+from repro.collectives.ring import ring_reduce_scatter_stages
+from repro.simnet import DisconnectFault, DropFault, FlowTag, Network, Priority
+from repro.topology import (
+    ClosSpec,
+    down_link,
+    host_down_link,
+    host_up_link,
+    up_link,
+)
 
 
 def test_builds_all_nodes_and_links():
@@ -96,6 +104,55 @@ def test_pfc_controllers_wired_per_fabric_link():
     spec = ClosSpec(n_leaves=2, n_spines=2)
     net = Network(spec, seed=0, queue_capacity=1 << 20, enable_pfc=True)
     assert len(net.pfc_controllers) == 2 * spec.n_leaves * spec.n_spines
+
+
+def test_pfc_staged_ring_run_is_pinned():
+    # A 2:1 oversubscribed fabric with finite buffers: a measured ring
+    # shares it with background all-to-all traffic until the spine-1
+    # uplink queues cross XOFF.  Event count, per-link transmissions and
+    # the PFC pause/resume edges are pinned so hot-path changes to the
+    # engine, queues or switches cannot shift a single event.
+    spec = ClosSpec(n_leaves=4, n_spines=2, hosts_per_leaf=4)
+    net = Network(
+        spec,
+        seed=31,
+        spray="round_robin",
+        mtu=512,
+        queue_capacity=512 * 1024,
+        enable_pfc=True,
+        rto_ns=2_000_000,
+    )
+    ring = [0, 4, 8, 12]
+    runner = StagedCollectiveRunner(
+        net, 1, ring_reduce_scatter_stages(ring, 200_000), iterations=1
+    )
+    others = [h for h in range(spec.n_hosts) if h not in ring]
+    for i, src in enumerate(others):
+        net.host(src).send(
+            others[(i + 5) % len(others)],
+            400_000,
+            tag=FlowTag(99, 0),
+            priority=Priority.BACKGROUND,
+        )
+    runner.run()
+
+    assert (net.sim.events_executed, net.now) == (168_965, 20_915)
+    expected_tx = {}
+    for leaf in range(spec.n_leaves):
+        for spine in range(spec.n_spines):
+            expected_tx[up_link(leaf, spine)] = 2640
+            expected_tx[down_link(spine, leaf)] = 2640
+    for host in range(spec.n_hosts):
+        count = 588 if host in ring else 1564
+        expected_tx[host_up_link(host)] = count
+        expected_tx[host_down_link(host)] = count
+    assert {name: link.tx_packets for name, link in net.links.items()} == expected_tx
+    edges = {
+        c.watched.name: (c.pauses_sent, c.resumes_sent)
+        for c in net.pfc_controllers
+        if c.pauses_sent or c.resumes_sent
+    }
+    assert edges == {up_link(leaf, 1): (1, 1) for leaf in range(spec.n_leaves)}
 
 
 def test_double_injection_rejected():

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simnet import DisconnectFault, FlowTag, Network, Tracer
+from repro.simnet import DisconnectFault, FlowTag, Network, Packet, Tracer
+from repro.simnet.spraying import RoundRobinSpray, SprayPolicy
+from repro.simnet.switch import RoutingError
 from repro.topology import ClosSpec, down_link, up_link
+from repro.topology.graph import parse_fabric_link
 
 
 def make_net(n_leaves=4, n_spines=2, hosts_per_leaf=1, **kwargs):
@@ -143,3 +146,76 @@ def test_unknown_link_fault_injection_rejected():
     net = make_net()
     with pytest.raises(KeyError):
         net.inject_fault("up:L99->S0", DisconnectFault())
+
+
+class _CheckedSpray(SprayPolicy):
+    """Round-robin that checks every candidate list it is handed against
+    a fresh control-plane query, and logs the sets it saw."""
+
+    name = "checked"
+
+    def __init__(self, net):
+        self.net = net
+        self.inner = RoundRobinSpray()
+        self.mismatches = []
+        self.seen = set()
+
+    def choose(self, candidates, packet, rng):
+        _direction, src_leaf, _spine = parse_fabric_link(candidates[0].name)
+        dst_leaf = self.net.spec.leaf_of_host(packet.dst_host)
+        control = self.net.control
+        fresh = [
+            self.net.leaf(src_leaf).uplinks[s]
+            for s in control.valid_spines(src_leaf, dst_leaf)
+        ]
+        if candidates != fresh:
+            self.mismatches.append((self.net.now, src_leaf, dst_leaf))
+        if (src_leaf, dst_leaf) == (0, 3):
+            self.seen.add(tuple(link.name for link in candidates))
+        return self.inner.choose(candidates, packet, rng)
+
+
+def test_leaf_candidates_follow_control_plane_changes_mid_run():
+    spec = ClosSpec(n_leaves=4, n_spines=3)
+    net = Network(spec, seed=11, spray=RoundRobinSpray(), mtu=1000)
+    policy = _CheckedSpray(net)
+    for leaf in net.leaves:
+        leaf.policy = policy
+    control = net.control
+    # host 0 streams to host 3 (leaf 0 -> leaf 3) for ~4 us; the control
+    # plane changes under it every microsecond.
+    changes = [
+        (1_000, control.disable, up_link(0, 1)),
+        (2_000, control.exclude_from_spray, down_link(2, 3)),
+        (3_000, control.enable, up_link(0, 1)),
+        (4_000, control.readmit_to_spray, down_link(2, 3)),
+    ]
+    for time_ns, change, link in changes:
+        net.sim.schedule_at(time_ns, change, link)
+    done = []
+    net.host(3).on_message(lambda src, mid, tag, size: done.append(size))
+    net.host(0).send(3, 400_000)
+    net.run()
+    assert done == [400_000]
+    assert policy.mismatches == []
+    # Every control-plane state was live while packets flowed.
+    assert policy.seen == {
+        (up_link(0, 0), up_link(0, 1), up_link(0, 2)),
+        (up_link(0, 0), up_link(0, 2)),
+        (up_link(0, 0),),
+        (up_link(0, 0), up_link(0, 1)),
+    }
+
+
+def test_partitioned_pair_raises_on_every_packet():
+    net = make_net(n_spines=2)
+    leaf = net.leaf(0)
+    net.control.disable(up_link(0, 0), up_link(0, 1))
+    for _ in range(2):  # not cached: the second packet raises too
+        with pytest.raises(RoutingError):
+            leaf._forward(Packet(src_host=0, dst_host=3, size=100))
+    assert leaf.misrouted_packets == 2
+    net.control.enable(up_link(0, 1))
+    leaf._forward(Packet(src_host=0, dst_host=3, size=100))
+    assert leaf.misrouted_packets == 2
+    assert net.link(up_link(0, 1)).busy  # the packet left on the one path
